@@ -34,19 +34,18 @@ Quickstart::
     print(result.contigs[0].sequence)
 """
 
-from repro.assembly import PimPipeline, assemble, assemble_with_pim
-from repro.core import PimAssembler
-from repro.genome import DnaSequence, ReadSimulator, synthetic_chromosome
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "PimAssembler",
-    "PimPipeline",
-    "assemble",
-    "assemble_with_pim",
-    "DnaSequence",
-    "ReadSimulator",
-    "synthetic_chromosome",
-    "__version__",
-]
+# public names resolve on first use (PEP 562): `import repro.cli` stays
+# cheap instead of importing every subsystem
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "core": ("PimAssembler",),
+        "assembly": ("PimPipeline", "assemble", "assemble_with_pim"),
+        "genome": ("DnaSequence", "ReadSimulator", "synthetic_chromosome"),
+    },
+)
+__all__ += ["__version__"]

@@ -4,113 +4,70 @@ Extensions beyond the paper's pipeline: bidirected (strand-aware)
 assembly, spectral read error correction, and mate-pair scaffolding.
 """
 
-from repro.assembly.bidirected import (
-    BidirectedDeBruijnGraph,
-    CanonicalKmerCounter,
-    PimCanonicalKmerCounter,
-    assemble_bidirected,
-)
-from repro.assembly.correction import (
-    CorrectionResult,
-    SpectralCorrector,
-    correct_reads,
-)
-from repro.assembly.simplify import (
-    SimplifyStats,
-    clip_tips,
-    pop_bubbles,
-    simplify_graph,
-)
-from repro.assembly.mate_scaffold import (
-    ContigLink,
-    MateScaffold,
-    build_scaffolds,
-    link_contigs,
-    scaffold_assembly,
-)
-from repro.assembly.contigs import (
-    Contig,
-    assemble_contigs,
-    contigs_from_paths,
-    spell_path,
-)
-from repro.assembly.debruijn import DeBruijnGraph, Edge, build_graph_from_sequences
-from repro.assembly.euler import (
-    degree_table,
-    eulerian_path,
-    eulerian_paths,
-    find_start_node,
-    fleury_path,
-    has_eulerian_path,
-    unitigs,
-)
-from repro.assembly.hashmap import (
-    PimKmerCounter,
-    SoftwareKmerCounter,
-    kmer_partition,
-)
-from repro.assembly.metrics import (
-    AssemblyReport,
-    evaluate_assembly,
-    genome_fraction,
-    largest_contig,
-    misassembled_contigs,
-    n50,
-    nx_length,
-    total_length,
-)
-from repro.assembly.pipeline import AssemblyResult, PimPipeline, assemble_with_pim
-from repro.assembly.reference_impl import SoftwareAssemblyResult, assemble
-from repro.assembly.scaffold import Scaffold, greedy_scaffold, scaffold_n50
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BidirectedDeBruijnGraph",
-    "CanonicalKmerCounter",
-    "PimCanonicalKmerCounter",
-    "assemble_bidirected",
-    "CorrectionResult",
-    "SpectralCorrector",
-    "correct_reads",
-    "SimplifyStats",
-    "clip_tips",
-    "pop_bubbles",
-    "simplify_graph",
-    "ContigLink",
-    "MateScaffold",
-    "build_scaffolds",
-    "link_contigs",
-    "scaffold_assembly",
-    "Contig",
-    "assemble_contigs",
-    "contigs_from_paths",
-    "spell_path",
-    "DeBruijnGraph",
-    "Edge",
-    "build_graph_from_sequences",
-    "degree_table",
-    "eulerian_path",
-    "eulerian_paths",
-    "find_start_node",
-    "fleury_path",
-    "has_eulerian_path",
-    "unitigs",
-    "PimKmerCounter",
-    "SoftwareKmerCounter",
-    "kmer_partition",
-    "AssemblyReport",
-    "evaluate_assembly",
-    "genome_fraction",
-    "largest_contig",
-    "misassembled_contigs",
-    "n50",
-    "nx_length",
-    "total_length",
-    "AssemblyResult",
-    "PimPipeline",
-    "assemble_with_pim",
-    "SoftwareAssemblyResult",
-    "assemble",
-    "Scaffold",
-    "greedy_scaffold",
-    "scaffold_n50",
-]
+# public names resolve on first use (PEP 562): importing the pipeline
+# does not import the bidirected/correction/scaffolding extensions
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "bidirected": (
+            "BidirectedDeBruijnGraph",
+            "CanonicalKmerCounter",
+            "PimCanonicalKmerCounter",
+            "assemble_bidirected",
+        ),
+        "correction": (
+            "CorrectionResult",
+            "SpectralCorrector",
+            "correct_reads",
+        ),
+        "simplify": (
+            "SimplifyStats",
+            "clip_tips",
+            "pop_bubbles",
+            "simplify_graph",
+        ),
+        "mate_scaffold": (
+            "ContigLink",
+            "MateScaffold",
+            "build_scaffolds",
+            "link_contigs",
+            "scaffold_assembly",
+        ),
+        "contigs": (
+            "Contig",
+            "assemble_contigs",
+            "contigs_from_paths",
+            "spell_path",
+        ),
+        "debruijn": ("DeBruijnGraph", "Edge", "build_graph_from_sequences"),
+        "euler": (
+            "degree_table",
+            "eulerian_path",
+            "eulerian_paths",
+            "find_start_node",
+            "fleury_path",
+            "has_eulerian_path",
+            "unitigs",
+        ),
+        "hashmap": (
+            "PimKmerCounter",
+            "SoftwareKmerCounter",
+            "kmer_partition",
+        ),
+        "metrics": (
+            "AssemblyReport",
+            "evaluate_assembly",
+            "genome_fraction",
+            "largest_contig",
+            "misassembled_contigs",
+            "n50",
+            "nx_length",
+            "total_length",
+        ),
+        "pipeline": ("AssemblyResult", "PimPipeline", "assemble_with_pim"),
+        "reference_impl": ("SoftwareAssemblyResult", "assemble"),
+        "scaffold": ("Scaffold", "greedy_scaffold", "scaffold_n50"),
+    },
+)

@@ -26,13 +26,14 @@ Execution engines
 
 ``engine="scalar"`` (the default, and the golden model) walks the
 Hashmap loop k-mer by k-mer through the controller.  ``engine="bulk"``
-batch-inserts each round's k-mers per sub-array through the bulk
-bit-plane engine (:mod:`repro.core.bitplane`): slot assignment, scan
-lengths and counter evolution are derived with vectorised NumPy over
-the whole batch, memory reaches the identical end state, and the
-ledger is charged the identical per-mnemonic command counts in one
-gang-scheduled batch.  Runs with live compare/copy fault rates replay
-the scalar per-op path so the fault RNG stream stays exact.
+inserts each round's k-mers into every sub-array at once through the
+bulk bit-plane engine (:mod:`repro.core.bitplane`): slot assignment,
+scan lengths and counter evolution are derived with vectorised NumPy
+over the whole round, memory reaches the identical end state through
+whole-store gathers/scatters, and the ledger is charged the identical
+per-mnemonic command counts in one gang-scheduled batch.  Runs with
+live compare/copy fault rates replay the scalar per-op path so the
+fault RNG stream stays exact.
 """
 
 from __future__ import annotations
@@ -69,13 +70,12 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SubarrayTable:
-    """Host-side metadata of one sub-array's table region."""
+    """Host-side handle of one sub-array's table region."""
 
     key: tuple[int, int, int]
     layout: KmerLayout
-    occupied: int = 0
 
 
 class SoftwareKmerCounter:
@@ -152,15 +152,24 @@ class PimKmerCounter:
         if not keys:
             raise ValueError("at least one sub-array is required")
         self._tables = [_SubarrayTable(key=key, layout=layout) for key in keys]
-        #: per-partition slot -> packed k-mer (host shadow for readback
-        #: ordering only; matching is done in-memory).
-        self._slot_keys: list[list[int]] = [[] for _ in keys]
+        self._table_keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+        #: occupied k-mer slots per partition
+        self._occupied = np.zeros(len(keys), dtype=np.int64)
+        #: store slot per partition, -1 until its sub-array is touched
+        self._store_slots = np.full(len(keys), -1, dtype=np.int64)
+        # host shadow of the table (readback ordering and scrub repair
+        # only; matching is done in-memory): the packed k-mer, partition
+        # and slot of every insert, in insertion order
+        self._log_keys: list[int] = []
+        self._log_parts: list[int] = []
+        self._log_slots: list[int] = []
         self._valid_bits = 2 * k
         self._mask = np.zeros(geometry.cols, dtype=np.uint8)
         self._mask[: self._valid_bits] = 1
-        # global sorted key index over all partitions (bulk-path lookup);
-        # rebuilt lazily whenever _slot_keys changes
-        self._index_dirty = True
+        # global sorted key index over all partitions (bulk-path lookup):
+        # bulk rounds merge their inserts into it; scalar inserts mark
+        # it dirty for one rebuild from the log
+        self._index_dirty = False
         self._idx_keys = np.empty(0, dtype=np.uint64)
         self._idx_slot = np.empty(0, dtype=np.int64)
 
@@ -192,7 +201,9 @@ class PimKmerCounter:
         checkpoint()  # per-k-mer cancellation point (hashmap inner loop)
         if kmer is None:
             kmer = unpack_kmer(packed, self.k)
-        table = self._tables[kmer_partition(packed, self.partitions)]
+        part = kmer_partition(packed, self.partitions)
+        table = self._tables[part]
+        occupied = int(self._occupied[part])
         ctrl = self.pim.controller
         layout = table.layout
 
@@ -206,15 +217,15 @@ class PimKmerCounter:
         # first match, as the DPU's outcome gates the next command.
         match_slot = ctrl.compare_scan(
             temp,
-            start_row=layout.kmer_row(0) if table.occupied else 0,
-            n_rows=table.occupied,
+            start_row=layout.kmer_row(0) if occupied else 0,
+            n_rows=occupied,
             valid_bits=self._valid_bits,
         )
 
         if match_slot is not None:
             self._increment(table, match_slot)
         else:
-            self._insert_new(table, temp, packed)
+            self._insert_new(part, temp, packed)
 
     def add_sequence(self, sequence: DnaSequence) -> None:
         if self._bulk is not None:
@@ -258,26 +269,36 @@ class PimKmerCounter:
     # ----- the bulk path ---------------------------------------------------------
 
     def _rebuild_index(self) -> None:
-        """Rebuild the global sorted key index from the slot shadow.
+        """Rebuild the global sorted key index from the insert log.
 
         Partition identity is a pure function of the packed k-mer, so
         one device-wide sorted array resolves any key to its table slot
-        — the per-partition searches the old bulk planner looped over
-        in Python collapse into a single :func:`np.searchsorted`.
+        in a single :func:`np.searchsorted`.  Bulk rounds keep the index
+        current by merging; this full rebuild serves only scalar-path
+        inserts (fallback replays) and :meth:`from_state`.
         """
-        keys = [k for part in self._slot_keys for k in part]
-        slots = [
-            s for part in self._slot_keys for s in range(len(part))
-        ]
-        if keys:
-            arr = np.asarray(keys, dtype=np.uint64)
-            order = np.argsort(arr, kind="stable")
-            self._idx_keys = arr[order]
-            self._idx_slot = np.asarray(slots, dtype=np.int64)[order]
-        else:
-            self._idx_keys = np.empty(0, dtype=np.uint64)
-            self._idx_slot = np.empty(0, dtype=np.int64)
+        keys = np.asarray(self._log_keys, dtype=np.uint64)
+        order = np.argsort(keys, kind="stable")
+        self._idx_keys = keys[order]
+        self._idx_slot = np.asarray(self._log_slots, dtype=np.int64)[order]
         self._index_dirty = False
+
+    def _replay_scalar(self, packed: np.ndarray) -> None:
+        for value in packed.tolist():
+            self._add_packed_scalar(int(value))
+
+    def _slots_of(self, parts: np.ndarray) -> np.ndarray:
+        """Store slot per partition, instantiating untouched sub-arrays
+        in ascending partition order (at most once per partition).
+
+        Instantiation can grow the store tensor: never hold a word view
+        across this call.
+        """
+        fresh = np.unique(parts[self._store_slots[parts] < 0])
+        for part in fresh.tolist():
+            sub = self.pim.device.subarray_at(self._tables[part].key)
+            self._store_slots[part] = sub.slot
+        return self._store_slots
 
     def _add_packed_bulk(self, packed: np.ndarray) -> None:
         """Batch-insert a round of packed k-mers across ALL sub-arrays.
@@ -288,10 +309,13 @@ class PimKmerCounter:
         the ledger receives the identical command counts — charged as
         one gang-scheduled batch per round instead of op by op.
 
-        Planning is device-global: one ``np.unique`` over the round,
-        one sorted-index lookup for known keys, one lexsort for
-        first-arrival slot assignment, and packed bit-field
-        gather/scatter for every counter — no per-key Python loops.
+        The round is whole-array work with no per-key, per-partition or
+        per-command Python loop: one ``np.unique`` over the round, one
+        sorted-index lookup for known keys, one lexsort for first-arrival
+        slot assignment, one pack + scatter of the new k-mer rows, one
+        counter gather/scatter, one compute-row scatter for every touched
+        sub-array's scan end state, one vector charge of per-partition
+        ``np.bincount`` counts, and one merge into the sorted index.
         """
         checkpoint()  # per-round cancellation point (bulk hashmap path)
         ctrl = self.pim.controller
@@ -303,8 +327,7 @@ class PimKmerCounter:
         ):
             # live scan/copy fault rates: the per-op RNG draw order is
             # part of the contract, so replay the exact scalar path
-            for value in packed.tolist():
-                self._add_packed_scalar(int(value))
+            self._replay_scalar(packed)
             return
         n_parts = self.partitions
         layout = self.layout
@@ -329,9 +352,7 @@ class PimKmerCounter:
 
         # new keys claim slots in first-arrival order per partition
         new_u = np.flatnonzero(~known)
-        occ0 = np.asarray(
-            [t.occupied for t in self._tables], dtype=np.int64
-        )
+        occ0 = self._occupied
         new_per_part = np.bincount(uparts[new_u], minlength=n_parts)
         if (occ0 + new_per_part > layout.kmer_rows).any():
             # some partition would raise TableFullError mid-stream;
@@ -339,19 +360,18 @@ class PimKmerCounter:
             # through the scalar path and let the error fire at the
             # exact arrival — with the exact partial table state — the
             # golden model produces
-            for value in packed.tolist():
-                self._add_packed_scalar(int(value))
+            self._replay_scalar(packed)
             return
         order = np.lexsort((first_idx[new_u], uparts[new_u]))
         nu = new_u[order]  # partition-major, arrival-ordered
         nu_parts = uparts[nu]
         seg_starts = np.concatenate(
-            ([0], np.cumsum(np.bincount(nu_parts, minlength=n_parts))[:-1])
+            ([0], np.cumsum(new_per_part)[:-1])
         )
-        uniq_slot = uniq_slot.copy()
-        uniq_slot[nu] = occ0[nu_parts] + (
+        nu_slots = occ0[nu_parts] + (
             np.arange(nu.size, dtype=np.int64) - seg_starts[nu_parts]
         )
+        uniq_slot[nu] = nu_slots
 
         # per-arrival scan lengths: a miss at insertion slot s scanned
         # all s occupied rows; a hit at slot s stopped after s + 1 rows
@@ -363,15 +383,10 @@ class PimKmerCounter:
 
         # instantiate every touched sub-array BEFORE taking any packed
         # view: store growth reallocates the tensor
-        touched = np.flatnonzero(np.bincount(kparts, minlength=n_parts))
-        subs = {
-            int(p): self.pim.device.subarray_at(self._tables[p].key)
-            for p in touched
-        }
-        store = subs[int(touched[0])].store
-        sslot_of = np.zeros(n_parts, dtype=np.int64)
-        for p, sub in subs.items():
-            sslot_of[p] = sub.slot
+        arr_p = np.bincount(kparts, minlength=n_parts)
+        touched = np.flatnonzero(arr_p)
+        sslot_of = self._slots_of(touched)
+        store = self.pim.device.store
 
         # counter evolution: value(key) ends at min(start + hits, max),
         # incrementing (1 DPU add + 1 MEM_WR) only below saturation and
@@ -393,59 +408,62 @@ class PimKmerCounter:
             start_vals + hits_per_key > layout.counter_max
         ).any():
             # would raise OverflowError mid-stream: same scalar replay
-            for value in packed.tolist():
-                self._add_packed_scalar(int(value))
+            self._replay_scalar(packed)
             return
 
         # ---- functional end state -------------------------------------
+        # one row-bit expansion for the new k-mer rows and for every
+        # touched sub-array's last query (the scan end state below)
+        last_pos = np.full(n_parts, -1, dtype=np.int64)
+        np.maximum.at(last_pos, kparts, np.arange(packed.size, dtype=np.int64))
+        t_last = last_pos[touched]
         new_keys = uniq[nu]
-        for p in touched:
-            lo, hi = seg_starts[p], seg_starts[p] + new_per_part[p]
-            if hi > lo:
-                rows = packed_to_row_bits(
-                    new_keys[lo:hi], self.k, self.pim.row_bits
-                )
-                store.write_rows(
-                    int(sslot_of[p]), int(occ0[p]), np.asarray(rows)
-                )
+        rows = packed_to_row_bits(
+            np.concatenate([new_keys, packed[t_last]]),
+            self.k,
+            self.pim.row_bits,
+        )
+        if nu.size:
+            store.write_rows_at(
+                sslot_of[nu_parts],
+                layout.kmer_row(0) + nu_slots,
+                rows[: nu.size],
+            )
         if uniq.size:
             store.write_fields(
                 sslot_of[uparts], vrows, vbits, cbits, final_vals
             )
         # leave each touched sub-array's compute rows as its last
-        # arriving k-mer's scan would (reads happen after the row
-        # writes above: the last scanned row may be a fresh insert)
-        last_pos = np.full(n_parts, -1, dtype=np.int64)
-        np.maximum.at(last_pos, kparts, np.arange(packed.size, dtype=np.int64))
-        for p in touched:
-            pos = int(last_pos[p])
-            q_words = pack_rows(
-                packed_to_row_bits(
-                    packed[pos : pos + 1], self.k, self.pim.row_bits
-                )[0]
-            )
-            last_scanned = int(scanned[pos])
-            last_row_words = (
-                store.row_words(
-                    int(sslot_of[p]), layout.kmer_row(last_scanned - 1)
-                ).copy()
-                if last_scanned
-                else None
-            )
-            self._bulk._finish_scan(
-                subs[int(p)], layout.temp_row(0), q_words, last_row_words
-            )
-        for p in touched:
-            table = self._tables[p]
-            lo, hi = seg_starts[p], seg_starts[p] + new_per_part[p]
-            table.occupied = int(occ0[p] + new_per_part[p])
-            self._slot_keys[p].extend(int(v) for v in new_keys[lo:hi])
-        if nu.size:
-            self._index_dirty = True
+        # arriving k-mer's scan would (the gather runs after the row
+        # scatter above: the last scanned row may be a fresh insert)
+        t_slots = sslot_of[touched]
+        last_scanned = scanned[t_last]
+        has_last = last_scanned > 0
+        last_rows = store.tensor[
+            t_slots,
+            layout.kmer_row(0) + np.where(has_last, last_scanned - 1, 0),
+        ]
+        self._bulk.finish_scans(
+            t_slots,
+            layout.temp_row(0),
+            pack_rows(rows[nu.size :]),
+            last_rows,
+            has_last,
+        )
 
-        # ---- charging (identical command counts, one gang batch,
-        # ascending partition order as the old per-partition walk) -----
-        arr_p = np.bincount(kparts, minlength=n_parts)
+        # ---- host shadow: occupancy, insert log, merged sorted index --
+        self._occupied = occ0 + new_per_part
+        if nu.size:
+            self._log_keys.extend(new_keys.tolist())
+            self._log_parts.extend(nu_parts.tolist())
+            self._log_slots.extend(nu_slots.tolist())
+            by_key = np.argsort(new_keys, kind="stable")
+            at = np.searchsorted(self._idx_keys, new_keys[by_key])
+            self._idx_keys = np.insert(self._idx_keys, at, new_keys[by_key])
+            self._idx_slot = np.insert(self._idx_slot, at, nu_slots[by_key])
+
+        # ---- charging: identical command counts in one gang batch, in
+        # the ascending partition order of the scalar-equivalent walk --
         miss_p = np.bincount(kparts[is_miss], minlength=n_parts)
         hits_p = arr_p - miss_p
         scan_p = np.bincount(
@@ -456,40 +474,44 @@ class PimKmerCounter:
             weights=(final_vals - start_vals).astype(np.float64),
             minlength=n_parts,
         ).astype(np.int64)
+        arr_t, miss_t, scan_t, inc_t = (
+            v[touched] for v in (arr_p, miss_p, scan_p, inc_p)
+        )
         sched = self._bulk.scheduler
-        verifying = ctrl._verifying() is not None
-        for p in touched:
-            key = self._tables[p].key
-            sched.charge(
-                "MEM_WR", key, int(arr_p[p] + miss_p[p] + inc_p[p])
-            )
-            sched.charge("MEM_RD", key, int(hits_p[p]))
-            sched.charge("AAP1", key, int(arr_p[p] + miss_p[p]))
-            sched.fused_compare(key, int(scan_p[p]))
-            sched.charge("DPU", key, int(inc_p[p]))
-            if verifying:
-                self._bulk.charge_verify(int(scan_p[p]))
+        sched.charge_many(
+            self._table_keys[touched],
+            [
+                ("MEM_WR", arr_t + miss_t + inc_t),
+                ("MEM_RD", hits_p[touched]),
+                ("AAP1", arr_t + miss_t),
+                *((m, scan_t) for m in sched.FUSED_COMPARE),
+                ("DPU", inc_t),
+            ],
+        )
+        if ctrl._verifying() is not None:
+            for count in scan_t.tolist():
+                self._bulk.charge_verify(count)
         self._bulk.flush()
 
     # ----- table updates ---------------------------------------------------------------
 
-    def _insert_new(
-        self, table: _SubarrayTable, temp: RowAddress, packed: int
-    ) -> None:
+    def _insert_new(self, part: int, temp: RowAddress, packed: int) -> None:
         """MEM_insert(k_mer, 1): claim the next free slot."""
+        table = self._tables[part]
         layout = table.layout
-        if table.occupied >= layout.kmer_rows:
+        slot = int(self._occupied[part])
+        if slot >= layout.kmer_rows:
             raise TableFullError(
                 f"sub-array {table.key} k-mer region full "
                 f"({layout.kmer_rows} slots)"
             )
-        slot = table.occupied
         ctrl = self.pim.controller
         ctrl.copy(temp, self._addr(table, layout.kmer_row(slot)))
         self._write_counter(table, slot, 1)
-        table.occupied += 1
-        index = self._tables.index(table)
-        self._slot_keys[index].append(packed)
+        self._occupied[part] += 1
+        self._log_keys.append(packed)
+        self._log_parts.append(part)
+        self._log_slots.append(slot)
         self._index_dirty = True
 
     def _increment(self, table: _SubarrayTable, slot: int) -> None:
@@ -555,12 +577,12 @@ class PimKmerCounter:
         # region; the marks tell the trace verifier to suspend its
         # table-region write rule for this window.
         ctrl.mark("scrub:begin")
-        for index, table in enumerate(self._tables):
-            for slot in range(table.occupied):
+        for table, keys in zip(self._tables, self._slot_keys):
+            for slot, packed in enumerate(keys):
                 row = table.layout.kmer_row(slot)
                 addr = self._addr(table, row)
                 expected = kmer_to_row_bits(
-                    unpack_kmer(self._slot_keys[index][slot], self.k),
+                    unpack_kmer(packed, self.k),
                     self.pim.row_bits,
                 )
                 checked += 1
@@ -587,13 +609,46 @@ class PimKmerCounter:
 
     # ----- readback --------------------------------------------------------------------------
 
+    def _table_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(partitions, slots, keys)`` of every stored k-mer, in
+        partition-major slot order."""
+        parts = np.asarray(self._log_parts, dtype=np.int64)
+        slots = np.asarray(self._log_slots, dtype=np.int64)
+        order = np.lexsort((slots, parts))
+        keys = np.asarray(self._log_keys, dtype=np.uint64)
+        return parts[order], slots[order], keys[order]
+
+    @property
+    def _slot_keys(self) -> list[list[int]]:
+        """Per-partition slot -> packed k-mer lists (the host shadow)."""
+        parts, _, keys = self._table_order()
+        bounds = np.cumsum(np.bincount(parts, minlength=self.partitions))
+        return [chunk.tolist() for chunk in np.split(keys, bounds[:-1])]
+
     def counts(self) -> Counter:
-        """Read the full table back as {packed k-mer: frequency}."""
-        out: Counter = Counter()
-        for index, table in enumerate(self._tables):
-            for slot in range(table.occupied):
-                out[self._slot_keys[index][slot]] = self._read_counter(table, slot)
-        return out
+        """Read the full table back as {packed k-mer: frequency}.
+
+        The scalar engine reads each counter through the controller;
+        the bulk engine gathers them all at once with the identical
+        ``MEM_RD`` charge (see :meth:`BulkEngine.read_fields`).
+        """
+        parts, slots, keys = self._table_order()
+        if self._bulk is None:
+            values = [
+                self._read_counter(self._tables[p], s)
+                for p, s in zip(parts.tolist(), slots.tolist())
+            ]
+        else:
+            layout = self.layout
+            cpr = layout.counters_per_row
+            values = self._bulk.read_fields(
+                self._table_keys[parts],
+                self._slots_of(parts)[parts],
+                layout.value_base + slots // cpr,
+                (slots % cpr) * layout.counter_bits,
+                layout.counter_bits,
+            ).tolist()
+        return Counter(dict(zip(keys.tolist(), values)))
 
     def stored_kmer(self, partition: int, slot: int) -> DnaSequence:
         """Decode a stored k-mer row straight from memory (for tests)."""
@@ -604,11 +659,11 @@ class PimKmerCounter:
         return DnaSequence.from_bits(row[: self._valid_bits])
 
     def __len__(self) -> int:
-        return sum(t.occupied for t in self._tables)
+        return len(self._log_keys)
 
     @property
     def occupancy(self) -> list[int]:
-        return [t.occupied for t in self._tables]
+        return self._occupied.tolist()
 
     # ----- checkpointing ----------------------------------------------------------
 
@@ -626,8 +681,8 @@ class PimKmerCounter:
             "k": self.k,
             "saturating": self.saturating,
             "keys": [list(table.key) for table in self._tables],
-            "occupied": [table.occupied for table in self._tables],
-            "slot_keys": [list(keys) for keys in self._slot_keys],
+            "occupied": self._occupied.tolist(),
+            "slot_keys": self._slot_keys,
         }
 
     @classmethod
@@ -647,10 +702,10 @@ class PimKmerCounter:
             saturating=bool(state["saturating"]),
             engine=engine,
         )
-        for table, occupied in zip(counter._tables, state["occupied"]):
-            table.occupied = int(occupied)
-        counter._slot_keys = [
-            [int(value) for value in keys] for keys in state["slot_keys"]
-        ]
+        counter._occupied = np.asarray(state["occupied"], dtype=np.int64)
+        for part, keys in enumerate(state["slot_keys"]):
+            counter._log_keys.extend(int(value) for value in keys)
+            counter._log_parts.extend([part] * len(keys))
+            counter._log_slots.extend(range(len(keys)))
         counter._index_dirty = True
         return counter

@@ -373,7 +373,6 @@ def _load_reads(path: str, strict: bool = True):
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
     from repro.assembly import assemble, assemble_with_pim
-    from repro.assembly.bidirected import assemble_bidirected
     from repro.errors import InputError
     from repro.genome.io_fasta import FastaRecord, write_fasta
 
@@ -548,6 +547,8 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
             min_contig_length=args.min_contig,
         ).contigs
     else:
+        from repro.assembly.bidirected import assemble_bidirected
+
         contigs = assemble_bidirected(
             reads,
             k=args.k,

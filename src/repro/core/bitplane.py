@@ -267,7 +267,9 @@ class BulkEngine:
         self.scheduler.charge("AAP1", key, count)  # x1 staging
         if n_rows == 0:
             if count:
-                self._finish_scan(sub, temp.row, q_words[-1], None)
+                self.finish_scans(
+                    [slot], temp.row, q_words[-1:], q_words[-1:], [False]
+                )
             self.flush()
             return np.full(count, -1, dtype=np.int64)
 
@@ -297,35 +299,87 @@ class BulkEngine:
             self.charge_verify(total_scanned)
         if count:
             last_block_row = start_row + int(scanned[-1]) - 1
-            self._finish_scan(
-                sub,
+            self.finish_scans(
+                [slot],
                 temp.row,
-                q_words[-1],
-                store.row_words(slot, last_block_row).copy(),
+                q_words[-1:],
+                store.block_words(slot, last_block_row, last_block_row + 1),
+                [True],
             )
         self.flush()
         return hits
 
-    def _finish_scan(self, sub, temp_row, query_words, last_row_words) -> None:
-        """Leave the compute rows as the sequential scan would.
+    def finish_scans(
+        self,
+        slots: np.ndarray,
+        temp_row: int,
+        query_words: np.ndarray,
+        last_row_words: np.ndarray,
+        has_last: np.ndarray,
+    ) -> None:
+        """Leave many sub-arrays' compute rows as their sequential scans
+        would, in one scatter.
 
-        temp and x1 hold the last query; when at least one candidate
-        was scanned, x2 holds the last scanned row and x3 its XNOR
-        against the query (the trailing uncharged rowclone+compute2 of
-        the scalar ``compare_scan``).  All operands are packed words;
-        the XNOR's complement is tail-masked per the pack boundary
-        rule.
+        For each store slot, temp and x1 hold its last query; where
+        ``has_last`` (at least one candidate was scanned), x2 holds the
+        last scanned row and x3 its XNOR against the query (the trailing
+        uncharged rowclone+compute2 of the scalar ``compare_scan``).
+        All operands are ``(n, words)`` packed words; the XNOR's
+        complement is tail-masked per the pack boundary rule.
         """
-        store, slot = sub.store, sub.slot
-        store.set_row_words(slot, temp_row, query_words)
-        x1 = sub.compute_row(1)
-        store.set_row_words(slot, x1, query_words)
-        if last_row_words is not None:
-            x2 = sub.compute_row(2)
-            x3 = sub.compute_row(3)
-            store.set_row_words(slot, x2, last_row_words)
-            xnor = ~(query_words ^ last_row_words) & store.col_mask_words
-            store.set_row_words(slot, x3, xnor)
+        store = self.pim.device.store
+        geometry = self.pim.geometry.bank.mat.subarray
+        slots = np.asarray(slots, dtype=np.intp)
+        has = np.asarray(has_last, dtype=bool)
+        n, m = slots.size, int(has.sum())
+        x_last = last_row_words[has]
+        xnor = ~(query_words[has] ^ x_last) & store.col_mask_words
+        rows = np.repeat(
+            [temp_row] + [geometry.compute_row(i) for i in (1, 2, 3)],
+            [n, n, m, m],
+        )
+        store.set_rows_at(
+            np.concatenate([slots, slots, slots[has], slots[has]]),
+            rows,
+            np.concatenate([query_words, query_words, x_last, xnor]),
+        )
+
+    # ----- host readback ----------------------------------------------------
+
+    def read_fields(
+        self,
+        subarray_keys: np.ndarray,
+        slots: np.ndarray,
+        rows: np.ndarray,
+        bit_offsets: np.ndarray,
+        width: int,
+    ) -> np.ndarray:
+        """Host readback of many bit fields as one packed gather.
+
+        Equivalent to one ``controller.read_row`` per field (the scalar
+        engine's counter readback): the same ``MEM_RD`` count at the
+        same serial (not gang-scheduled) cost, and one ``MEM_RD`` trace
+        entry per field when a command trace is attached.  ``slots``
+        are the store slots of the ``(n, 3)`` ``subarray_keys``.
+        """
+        ctrl = self.pim.controller
+        count = int(np.asarray(rows).size)
+        if ctrl._trace is not None:
+            for key, row in zip(
+                map(tuple, np.asarray(subarray_keys).tolist()),
+                np.asarray(rows).tolist(),
+            ):
+                ctrl._record_trace("MEM_RD", key, (row,))
+        if count:
+            ctrl._charge(
+                "MEM_RD",
+                count * ctrl.timing.t_read_row,
+                ctrl.energy.e_read_row,
+                gang=count,
+            )
+        return self.pim.device.store.read_fields(
+            slots, rows, bit_offsets, width
+        )
 
     # ----- bulk addition -----------------------------------------------------
 

@@ -24,6 +24,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.timing import (
     DEFAULT_TIMING,
@@ -220,7 +223,110 @@ class BatchedAapScheduler:
             if mnemonic in ("MEM_RD", "MEM_WR"):
                 self._busy[("grb", *subarray_key[:2])] += total_ns
 
+    def charge_many(
+        self,
+        subarray_keys: np.ndarray,
+        columns: Sequence[tuple[str, np.ndarray]],
+    ) -> None:
+        """Queue per-sub-array count vectors in one call.
+
+        ``subarray_keys`` is an ``(n, 3)`` array; each ``(mnemonic,
+        counts)`` column holds ``n`` counts.  Equivalent, to the last
+        bit, to::
+
+            for i, key in enumerate(subarray_keys):
+                for mnemonic, counts in columns:
+                    self.charge(mnemonic, tuple(key), counts[i])
+
+        Per-mnemonic time/energy and every resource's busy total
+        accumulate in that row-major order (``np.add.accumulate`` and
+        ``np.add.at`` are sequential), mnemonics join the batch in order
+        of first non-zero charge (which fixes the ledger record order of
+        the flush), and the charge log gets the same records — also on
+        top of charges already queued in the batch.
+        """
+        keys = np.asarray(subarray_keys, dtype=np.int64).reshape(-1, 3)
+        names = [mnemonic for mnemonic, _ in columns]
+        counts = np.stack(
+            [np.asarray(c, dtype=np.int64) for _, c in columns], axis=1
+        )
+        try:
+            cost = np.array([self.costs[m] for m in names], dtype=np.float64)
+        except KeyError as exc:
+            raise ValueError(
+                f"no cost model for mnemonic {exc.args[0]!r}"
+            ) from None
+        counts = np.maximum(counts, 0)  # charge() ignores count <= 0
+        time_ns = counts * cost[:, 0]
+        energy_nj = counts * cost[:, 1]
+        if self.log is not None:
+            key_list = [tuple(k) for k in keys.tolist()]
+            for i, j in zip(*np.nonzero(counts)):
+                self.log.charge(
+                    names[j], key_list[i], int(counts[i, j]),
+                    float(time_ns[i, j]),
+                )
+
+        n_cols = len(names)
+        first: dict[str, int] = {}
+        for j, mnemonic in enumerate(names):
+            rows = np.flatnonzero(counts[:, j])
+            if rows.size:
+                at = int(rows[0]) * n_cols + j
+                first[mnemonic] = min(first.get(mnemonic, at), at)
+        for mnemonic in sorted(first, key=first.__getitem__):
+            cols = [j for j, m in enumerate(names) if m == mnemonic]
+            self._counts[mnemonic] += int(counts[:, cols].sum())
+            for total, added in (
+                (self._time_ns, time_ns), (self._energy_nj, energy_nj)
+            ):
+                stream = np.concatenate(
+                    ([total[mnemonic]], added[:, cols].ravel())
+                )
+                total[mnemonic] = float(np.add.accumulate(stream)[-1])
+
+        # resources: the distinct sub-arrays, then each MAT's GRB and DPU
+        dims = tuple(keys.max(axis=0) + 1) if keys.size else (1, 1, 1)
+        _, sub_at, sub_of = np.unique(
+            np.ravel_multi_index(keys.T, dims),
+            return_index=True,
+            return_inverse=True,
+        )
+        _, mat_at, mat_of = np.unique(
+            np.ravel_multi_index(keys[:, :2].T, dims[:2]),
+            return_index=True,
+            return_inverse=True,
+        )
+        subs, mats = keys[sub_at], keys[mat_at, :2]
+        sub_of, mat_of = sub_of.reshape(-1), mat_of.reshape(-1)
+        n_subs, n_mats = subs.shape[0], mats.shape[0]
+        is_dpu = np.array([m == "DPU" for m in names])
+        is_io = np.array([m in ("MEM_RD", "MEM_WR") for m in names])
+        owner = np.where(
+            is_dpu[None, :],
+            (n_subs + n_mats + mat_of)[:, None],
+            sub_of[:, None],
+        )
+        mat_list = mats.tolist()
+        resources = (
+            [tuple(k) for k in subs.tolist()]
+            + [("grb", b, m) for b, m in mat_list]
+            + [("dpu", b, m) for b, m in mat_list]
+        )
+        busy = np.array([self._busy.get(res, 0.0) for res in resources])
+        np.add.at(busy, owner.ravel(), time_ns.ravel())
+        grb = np.broadcast_to((n_subs + mat_of)[:, None], counts.shape)
+        np.add.at(busy, grb[:, is_io].ravel(), time_ns[:, is_io].ravel())
+        self._busy.update(
+            (res, total)
+            for res, total in zip(resources, busy.tolist())
+            if total > 0
+        )
+
     # ----- op-fusion pass --------------------------------------------------
+
+    #: the per-row mnemonics of :meth:`fused_compare`, in charge order
+    FUSED_COMPARE = ("AAP1", "AAP2", "DPU")
 
     def fused_compare(
         self, subarray_key: tuple[int, int, int], scanned: int
@@ -232,9 +338,8 @@ class BatchedAapScheduler:
         the DPU leg lands on its own resource, so the reduction is
         hidden behind the next row's activations (fusion rule 1).
         """
-        self.charge("AAP1", subarray_key, scanned)
-        self.charge("AAP2", subarray_key, scanned)
-        self.charge("DPU", subarray_key, scanned)
+        for mnemonic in self.FUSED_COMPARE:
+            self.charge(mnemonic, subarray_key, scanned)
 
     def fused_add(
         self, subarray_key: tuple[int, int, int], bit_planes: int

@@ -53,6 +53,7 @@ import numpy as np
 from repro.observability.metrics import (
     STORAGE_BYTES,
     STORAGE_SLOTS,
+    active_registry,
     inc,
     set_gauge,
 )
@@ -318,8 +319,21 @@ class BitPlaneStore:
         return slot
 
     def _count(self, direction: str, slot: int, n: int) -> None:
+        if active_registry() is None:  # skip the f-strings: inc is a no-op
+            return
         inc(f"storage.{direction}_rows", n)
         inc(f"storage.{direction}_rows.{self._labels[slot]}", n)
+
+    def _count_many(self, direction: str, slots: np.ndarray) -> None:
+        """:meth:`_count` for one conversion per entry of ``slots``."""
+        if active_registry() is None:
+            return
+        inc(f"storage.{direction}_rows", int(slots.size))
+        labels, per_label = np.unique(
+            np.asarray(self._labels)[slots], return_counts=True
+        )
+        for label, n in zip(labels.tolist(), per_label.tolist()):
+            inc(f"storage.{direction}_rows.{label}", n)
 
     # ----- SECDED sidecar (repro.core.integrity) ---------------------------
 
@@ -385,6 +399,22 @@ class BitPlaneStore:
         self._tensor[self._check_slot(slot), row] = words
         self._reencode_row(slot, row)
 
+    def set_rows_at(
+        self, slots: np.ndarray, rows: np.ndarray, words: np.ndarray
+    ) -> None:
+        """Scatter packed rows to distinct ``(slot, row)`` positions.
+
+        The whole-array form of :meth:`set_row_words` (caller upholds
+        the tail rule): one fancy-index store plus one sidecar
+        re-encode of exactly the written rows.
+        """
+        s = np.asarray(slots, dtype=np.intp)
+        r = np.asarray(rows, dtype=np.intp)
+        self._tensor[s, r] = words
+        if self._ecc is not None:
+            self._ecc[s, r] = self._ecc_encoder(self._tensor[s, r])
+            self._ecc_rows_encoded += int(s.size)
+
     def copy_row(self, slot: int, src: int, des: int) -> None:
         """RowClone: pure word copy, no conversion."""
         t = self._tensor[self._check_slot(slot)]
@@ -429,6 +459,16 @@ class BitPlaneStore:
             self._check_slot(slot), start : start + arr.shape[0]
         ] = pack_rows(arr)
         self._reencode_rows(slot, start, start + arr.shape[0])
+
+    def write_rows_at(
+        self, slots: np.ndarray, rows: np.ndarray, bits: np.ndarray
+    ) -> None:
+        """Pack ``(n, cols)`` unpacked rows into distinct ``(slot, row)``
+        positions: one pack, one scatter, and the same per-label
+        ``pack_rows`` tallies as ``n`` :meth:`write_row` calls."""
+        s = np.asarray(slots, dtype=np.intp)
+        self._count_many("pack", s)
+        self.set_rows_at(s, rows, pack_rows(bits))
 
     def snapshot_slot(self, slot: int) -> np.ndarray:
         """Full unpacked ``(rows, cols)`` copy of one slot (debug/tests);

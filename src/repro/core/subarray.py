@@ -76,11 +76,7 @@ class SubArray:
 
     def compute_row(self, index: int) -> int:
         """Physical row number of compute row ``x{index}`` (1-based)."""
-        if not 1 <= index <= self.geometry.compute_rows:
-            raise ValueError(
-                f"compute row index must be in 1..{self.geometry.compute_rows}"
-            )
-        return self.geometry.data_rows + index - 1
+        return self.geometry.compute_row(index)
 
     def is_compute_row(self, row: int) -> bool:
         return self.geometry.data_rows <= row < self.geometry.rows

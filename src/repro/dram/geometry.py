@@ -53,6 +53,14 @@ class SubArrayGeometry:
         """Rows available for operand storage (1016 in the paper)."""
         return self.rows - self.compute_rows
 
+    def compute_row(self, index: int) -> int:
+        """Physical row number of compute row ``x{index}`` (1-based)."""
+        if not 1 <= index <= self.compute_rows:
+            raise ValueError(
+                f"compute row index must be in 1..{self.compute_rows}"
+            )
+        return self.data_rows + index - 1
+
     @property
     def row_bits(self) -> int:
         """Bits per row; the granularity of every bulk bit-wise op."""

@@ -186,18 +186,9 @@ def _wallace_column_sum_bulk(
     back); runs with live sum/TRA fault rates use the scalar path so
     the RNG stream stays per-op exact.
     """
-    from repro.core.bitplane import BulkEngine
-
-    ctrl = pim.controller
-    faults = ctrl.faults
-    if (
-        faults is not None
-        and faults.enabled
-        and (faults.sum_rate > 0.0 or faults.tra_rate > 0.0)
-    ):
+    if _sum_faults_live(pim):
         return wallace_column_sum(pim, rows, subarray_key, engine="scalar")
 
-    checkpoint()  # per-reduction cancellation point (bulk path)
     width = pim.row_bits
     staged = []
     for bits in rows:
@@ -207,22 +198,41 @@ def _wallace_column_sum_bulk(
         if arr.size < width:
             arr = np.pad(arr, (0, width - arr.size))
         staged.append(arr)
-    total = np.stack(staged).astype(np.int64).sum(axis=0)
+    _charge_wallace_bulk(pim, len(staged), subarray_key)
+    return np.stack(staged).astype(np.int64).sum(axis=0)
 
-    compressions, bits_needed, zero_planes = _wallace_schedule(len(staged))
+
+def _sum_faults_live(pim: PimAssembler) -> bool:
+    """True when sum/TRA faults draw per op (bulk must replay scalar)."""
+    faults = pim.controller.faults
+    return (
+        faults is not None
+        and faults.enabled
+        and (faults.sum_rate > 0.0 or faults.tra_rate > 0.0)
+    )
+
+
+def _charge_wallace_bulk(
+    pim: PimAssembler, n_rows: int, subarray_key: tuple[int, int, int]
+) -> None:
+    """Charge the scalar Wallace schedule of ``n_rows`` rows as one
+    gang batch (one flush)."""
+    from repro.core.bitplane import BulkEngine
+
+    checkpoint()  # per-reduction cancellation point (bulk path)
+    compressions, bits_needed, zero_planes = _wallace_schedule(n_rows)
     engine = BulkEngine(pim)
     sched = engine.scheduler
-    sched.charge("MEM_WR", subarray_key, len(staged) + zero_planes)
+    sched.charge("MEM_WR", subarray_key, n_rows + zero_planes)
     sched.charge("LATCH_LD", subarray_key, compressions)
     # scalar equivalence: the final ripple_add zeroes its carry row
     # with one charged AAP (RowClone off the constant row)
     sched.charge("AAP1", subarray_key, 1)
     sched.fused_add(subarray_key, compressions + bits_needed)
     sched.charge("MEM_RD", subarray_key, bits_needed + 1)
-    if ctrl._verifying() is not None:
+    if pim.controller._verifying() is not None:
         engine.charge_verify(2 * (compressions + bits_needed))
     engine.flush()
-    return total
 
 
 def adjacency_rows_for_chunk(
@@ -258,6 +268,83 @@ def adjacency_rows_for_chunk(
     return list(rows.values())
 
 
+class DegreePlan:
+    """Every chunk's adjacency rows, planned from ONE pass over the edges.
+
+    :func:`adjacency_rows_for_chunk` walks every edge once per chunk and
+    direction.  The plan walks them once in total and keeps, per
+    direction, the distinct ``(chunk, row vertex, column)`` incidences
+    as index arrays sorted by chunk, with each row vertex ranked by
+    first arrival in edge order — so per chunk it yields the row count
+    and the column sums (the bulk engine's whole input) with
+    ``np.bincount``, or the rows themselves in the edge walk's order
+    (the scalar engine's input).
+
+    Column ``i`` of chunk ``c`` is vertex ``nodes[c * width + i]`` of
+    the sorted vertex list.
+    """
+
+    def __init__(self, graph: DeBruijnGraph, width: int) -> None:
+        self.nodes = sorted(graph.nodes())
+        self.width = width
+        self.chunks = -(-len(self.nodes) // width)
+        ends = np.asarray(
+            [(e.source, e.target) for e in graph.edges()], dtype=np.uint64
+        ).reshape(-1, 2)
+        index = np.searchsorted(np.asarray(self.nodes, np.uint64), ends)
+        self._plans = {
+            "in": self._direction(index[:, 0], index[:, 1]),
+            "out": self._direction(index[:, 1], index[:, 0]),
+        }
+
+    def _direction(self, row_node: np.ndarray, col_node: np.ndarray) -> dict:
+        n, width = max(len(self.nodes), 1), self.width
+        # distinct (row vertex, column vertex) incidences, first arrival
+        # first — a repeated edge sets the same bit again
+        pair, first = np.unique(row_node * n + col_node, return_index=True)
+        pair = pair[np.argsort(first)]
+        row_node, col = pair // n, pair % n
+        chunk = col // width
+        # rank each chunk's row vertices by first arrival
+        row_key, row_first, row_of = np.unique(
+            chunk * n + row_node, return_index=True, return_inverse=True
+        )
+        by_arrival = np.lexsort((row_first, row_key // n))
+        rank = np.empty_like(by_arrival)
+        rank[by_arrival] = np.arange(by_arrival.size)
+        rows_per_chunk = np.bincount(row_key // n, minlength=self.chunks)
+        row_start = np.concatenate(([0], np.cumsum(rows_per_chunk)))
+        row = rank[row_of.reshape(-1)] - row_start[chunk]
+        by_chunk = np.argsort(chunk, kind="stable")
+        return {
+            "rows": rows_per_chunk,
+            "col_sums": np.bincount(col, minlength=len(self.nodes)),
+            "row": row[by_chunk],
+            "col": (col % width)[by_chunk],
+            "start": np.searchsorted(
+                chunk[by_chunk], np.arange(self.chunks + 1)
+            ),
+        }
+
+    def row_count(self, direction: str, chunk: int) -> int:
+        return int(self._plans[direction]["rows"][chunk])
+
+    def column_sums(self, direction: str, chunk: int) -> np.ndarray:
+        """The chunk's degree vector: column sums of its rows."""
+        lo = chunk * self.width
+        return self._plans[direction]["col_sums"][lo : lo + self.width]
+
+    def rows(self, direction: str, chunk: int) -> list[np.ndarray]:
+        """The chunk's rows, identical to (and in the order of)
+        :func:`adjacency_rows_for_chunk` over the same chunk."""
+        plan = self._plans[direction]
+        lo, hi = plan["start"][chunk], plan["start"][chunk + 1]
+        width = min(self.width, len(self.nodes) - chunk * self.width)
+        block = np.zeros((self.row_count(direction, chunk), width), np.uint8)
+        block[plan["row"][lo:hi], plan["col"][lo:hi]] = 1
+        return list(block)
+
+
 def degree_vectors_pim(
     pim: PimAssembler,
     graph: DeBruijnGraph,
@@ -268,8 +355,9 @@ def degree_vectors_pim(
 
     Chunks the vertex set by the row width (the ``n <= f`` rule) and
     accumulates each chunk's degree vectors with
-    :func:`wallace_column_sum` (``engine="bulk"`` batches each
-    chunk's whole reduction).
+    :func:`wallace_column_sum`, fed from one :class:`DegreePlan` edge
+    pass.  ``engine="bulk"`` charges each chunk's whole reduction as
+    one batch and takes the column sums straight from the plan.
 
     Warning:
         the scratch sub-array's data rows are freely overwritten — run
@@ -279,24 +367,33 @@ def degree_vectors_pim(
     Returns:
         ``(in_degree, out_degree)`` dictionaries over packed node keys.
     """
-    nodes = sorted(graph.nodes())
+    if engine not in ("scalar", "bulk"):
+        raise ValueError("engine must be 'scalar' or 'bulk'")
     width = pim.row_bits
-    in_deg: dict[int, int] = {}
-    out_deg: dict[int, int] = {}
-    for lo in range(0, len(nodes), width):
-        chunk = nodes[lo : lo + width]
-        for direction, out in (("in", in_deg), ("out", out_deg)):
+    plan = DegreePlan(graph, width)
+    nodes = plan.nodes
+    planned = engine == "bulk" and not _sum_faults_live(pim)
+    degrees = {d: np.zeros(len(nodes), dtype=np.int64) for d in ("in", "out")}
+    for chunk in range(plan.chunks):
+        lo = chunk * width
+        hi = min(lo + width, len(nodes))
+        for direction in ("in", "out"):
             checkpoint()  # per-chunk cancellation point
-            rows = adjacency_rows_for_chunk(graph, chunk, direction)
-            if rows:
-                sums = wallace_column_sum(
-                    pim, rows, subarray_key, engine=engine
-                )
+            n_rows = plan.row_count(direction, chunk)
+            if not n_rows:
+                continue
+            if planned:
+                _charge_wallace_bulk(pim, n_rows, subarray_key)
+                sums = plan.column_sums(direction, chunk)
             else:
-                sums = np.zeros(width, dtype=np.int64)
-            for i, node in enumerate(chunk):
-                out[node] = int(sums[i])
-    return in_deg, out_deg
+                sums = wallace_column_sum(
+                    pim, plan.rows(direction, chunk), subarray_key, engine
+                )
+            degrees[direction][lo:hi] = sums[: hi - lo]
+    return (
+        dict(zip(nodes, degrees["in"].tolist())),
+        dict(zip(nodes, degrees["out"].tolist())),
+    )
 
 
 def planes_needed(row_count: int) -> int:

@@ -34,84 +34,51 @@ instrumentation points reduce to one global ``None`` check each, a
 contract enforced by ``benchmarks/bench_observability_overhead.py``.
 """
 
-from repro.observability.export import (
-    chrome_trace,
-    format_subarray_heatmap,
-    subarray_utilization,
-    validate_chrome_trace,
-    validate_trace_file,
-    write_chrome_trace,
-    write_metrics,
-)
-from repro.observability.exposition import (
-    render_prometheus,
-    write_exposition,
-)
-from repro.observability.flightrec import FlightRecorder
-from repro.observability.power import PowerTimeline, current_lane, lane_scope
-from repro.observability.slo import (
-    AlertEvaluator,
-    AlertEvent,
-    AlertRule,
-    SloObjective,
-    SloTracker,
-)
-from repro.observability.inspect import (
-    format_stage_table,
-    format_top_commands,
-    inspect_job,
-    render_job_inspection,
-)
-from repro.observability.metrics import (
-    MetricsRegistry,
-    Recorder,
-    active_registry,
-    inc,
-    observe,
-    set_gauge,
-)
-from repro.observability.session import (
-    ObservabilitySession,
-    active_session,
-    connect_ledger,
-)
-from repro.observability.spans import Span, Tracer, active_tracer, event, span
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AlertEvaluator",
-    "AlertEvent",
-    "AlertRule",
-    "FlightRecorder",
-    "MetricsRegistry",
-    "ObservabilitySession",
-    "PowerTimeline",
-    "Recorder",
-    "SloObjective",
-    "SloTracker",
-    "Span",
-    "Tracer",
-    "active_registry",
-    "active_session",
-    "active_tracer",
-    "chrome_trace",
-    "connect_ledger",
-    "current_lane",
-    "event",
-    "format_stage_table",
-    "format_subarray_heatmap",
-    "format_top_commands",
-    "inc",
-    "inspect_job",
-    "lane_scope",
-    "observe",
-    "render_job_inspection",
-    "render_prometheus",
-    "set_gauge",
-    "span",
-    "subarray_utilization",
-    "validate_chrome_trace",
-    "validate_trace_file",
-    "write_chrome_trace",
-    "write_exposition",
-    "write_metrics",
-]
+# public names resolve on first use (PEP 562): instrumented modules
+# import only the spans/metrics helpers they call
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "export": (
+            "chrome_trace",
+            "format_subarray_heatmap",
+            "subarray_utilization",
+            "validate_chrome_trace",
+            "validate_trace_file",
+            "write_chrome_trace",
+            "write_metrics",
+        ),
+        "exposition": ("render_prometheus", "write_exposition"),
+        "flightrec": ("FlightRecorder",),
+        "power": ("PowerTimeline", "current_lane", "lane_scope"),
+        "slo": (
+            "AlertEvaluator",
+            "AlertEvent",
+            "AlertRule",
+            "SloObjective",
+            "SloTracker",
+        ),
+        "inspect": (
+            "format_stage_table",
+            "format_top_commands",
+            "inspect_job",
+            "render_job_inspection",
+        ),
+        "metrics": (
+            "MetricsRegistry",
+            "Recorder",
+            "active_registry",
+            "inc",
+            "observe",
+            "set_gauge",
+        ),
+        "session": (
+            "ObservabilitySession",
+            "active_session",
+            "connect_ledger",
+        ),
+        "spans": ("Span", "Tracer", "active_tracer", "event", "span"),
+    },
+)

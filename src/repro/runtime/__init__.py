@@ -10,44 +10,30 @@ into resumable, deadline-bounded jobs:
 * :mod:`repro.runtime.jobs` — the :class:`JobRunner` retry ladder and
   degradation chain.
 
-The assembly modules import :func:`checkpoint` from here, and
-``jobs`` imports the assembly pipeline — so the jobs symbols are
-exposed lazily to keep the import graph acyclic.
+Every public name is resolved lazily from its submodule: the assembly
+modules need only :func:`checkpoint`, and ``jobs`` imports the
+assembly pipeline, so eager imports here would both slow every process
+and make the import graph cyclic.
 """
 
 from __future__ import annotations
 
-from repro.runtime.checkpoint import JobJournal, RecordRef
-from repro.runtime.watchdog import Watchdog, active_watchdog, checkpoint
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JobJournal",
-    "RecordRef",
-    "Watchdog",
-    "active_watchdog",
-    "checkpoint",
-    # lazily resolved from repro.runtime.jobs:
-    "JobConfig",
-    "JobDecision",
-    "JobOutcome",
-    "JobReport",
-    "JobRunner",
-    "reads_fingerprint",
-]
-
-_JOBS_EXPORTS = {
-    "JobConfig",
-    "JobDecision",
-    "JobOutcome",
-    "JobReport",
-    "JobRunner",
-    "reads_fingerprint",
-}
-
-
-def __getattr__(name: str):
-    if name in _JOBS_EXPORTS:
-        from repro.runtime import jobs
-
-        return getattr(jobs, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# public names resolve on first use (PEP 562): the assembly hot path
+# imports only the watchdog, not the journal
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "checkpoint": ("JobJournal", "RecordRef"),
+        "watchdog": ("Watchdog", "active_watchdog", "checkpoint"),
+        "jobs": (
+            "JobConfig",
+            "JobDecision",
+            "JobOutcome",
+            "JobReport",
+            "JobRunner",
+            "reads_fingerprint",
+        ),
+    },
+)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import CommandTrace, PimAssembler
-from repro.core.scheduler import TraceScheduler, audit_parallelism
+from repro.core.scheduler import (
+    BatchedAapScheduler,
+    TraceScheduler,
+    audit_parallelism,
+)
+from repro.core.trace import ChargeLog
 from repro.core.trace import CommandTrace as Trace
 
 
@@ -150,3 +155,69 @@ class TestAlgorithmAudit:
         wallace_column_sum(pim, rows)
         report = audit_parallelism(trace)
         assert report.parallel_speedup == pytest.approx(1.0)
+
+
+class _RecordingLedger:
+    def __init__(self):
+        self.records = []
+
+    def record(self, command, time_ns, energy_nj, count):
+        self.records.append((command, time_ns, energy_nj, count))
+
+
+class TestChargeMany:
+    """``charge_many`` is the per-call loop, to the last bit."""
+
+    COLUMNS = ("MEM_WR", "MEM_RD", "AAP1", "AAP1", "AAP2", "DPU", "DPU")
+
+    def run(self, keys, counts, vector, prior=()):
+        ledger, log = _RecordingLedger(), ChargeLog()
+        sched = BatchedAapScheduler(ledger, log=log)
+        for mnemonic, key, count in prior:
+            sched.charge(mnemonic, key, count)
+        if vector:
+            sched.charge_many(
+                np.asarray(keys),
+                [(m, counts[:, j]) for j, m in enumerate(self.COLUMNS)],
+            )
+        else:
+            for i, key in enumerate(keys):
+                for j, mnemonic in enumerate(self.COLUMNS):
+                    sched.charge(mnemonic, tuple(key), int(counts[i, j]))
+        report = sched.flush()
+        return ledger.records, log.charges, log.flushes, report
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_identical_records_log_and_report(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        # several sub-arrays per MAT, several MATs and banks, sparse counts
+        keys = np.stack(
+            [
+                rng.integers(0, 2, n),
+                rng.integers(0, 3, n),
+                rng.permutation(np.arange(n) % 64),
+            ],
+            axis=1,
+        )
+        keys = np.unique(keys, axis=0)
+        counts = rng.integers(0, 50, (keys.shape[0], len(self.COLUMNS)))
+        counts[rng.random(counts.shape) < 0.4] = 0
+        assert self.run(keys, counts, True) == self.run(keys, counts, False)
+
+    def test_all_zero_and_leading_zero_columns(self):
+        keys = np.array([[0, 0, 0], [0, 0, 1], [1, 0, 0]])
+        counts = np.zeros((3, len(self.COLUMNS)), dtype=np.int64)
+        assert self.run(keys, counts, True) == self.run(keys, counts, False)
+        counts[2, 1] = 5  # MEM_RD first appears after other mnemonics
+        counts[1, 5] = 2
+        counts[0, 0] = 1
+        assert self.run(keys, counts, True) == self.run(keys, counts, False)
+
+    def test_partly_filled_batch_merges_in_call_order(self):
+        keys = np.array([[0, 0, 0], [0, 1, 2]])
+        counts = np.arange(14).reshape(2, 7) % 5
+        prior = [("AAP2", (0, 1, 2), 3), ("MEM_WR", (0, 0, 0), 1)]
+        assert self.run(keys, counts, True, prior) == self.run(
+            keys, counts, False, prior
+        )

@@ -314,3 +314,66 @@ class TestConversionCounters:
         assert snap["storage.unpack_rows"]["value"] == 3
         assert snap["storage.bytes"]["value"] == store.nbytes
         assert snap["storage.slots"]["value"] == 1.0
+
+    def test_no_registry_means_no_counter_work(self, monkeypatch):
+        """Without an active registry the tally is skipped entirely."""
+        import repro.core.storage as storage
+
+        calls = []
+        monkeypatch.setattr(storage, "inc", lambda *a: calls.append(a))
+        store = BitPlaneStore(rows=4, cols=64)
+        slot = store.new_slot("bank0")
+        store.write_row(slot, 0, np.ones(64, dtype=np.uint8))
+        store.read_row(slot, 0)
+        store.write_rows_at(
+            np.array([slot]), np.array([1]), np.ones((1, 64), dtype=np.uint8)
+        )
+        assert calls == []
+
+    def test_scatter_tallies_match_per_row_writes(self):
+        from repro.observability.metrics import MetricsRegistry
+
+        rng = np.random.default_rng(2)
+        bits = rng.integers(0, 2, (5, 70)).astype(np.uint8)
+        slots_of = [0, 1, 1, 2, 0]
+        rows = [3, 0, 2, 1, 1]
+        snaps, tensors = [], []
+        for scatter in (False, True):
+            registry = MetricsRegistry()
+            with registry.activate():
+                store = BitPlaneStore(rows=4, cols=70)
+                for label in ("bank0", "bank1", "bank1"):
+                    store.new_slot(label)
+                if scatter:
+                    store.write_rows_at(
+                        np.array(slots_of), np.array(rows), bits
+                    )
+                else:
+                    for s, r, b in zip(slots_of, rows, bits):
+                        store.write_row(s, r, b)
+            snaps.append(
+                {k: v for k, v in registry.snapshot().items() if "pack" in k}
+            )
+            tensors.append(store.tensor[: store.n_slots].copy())
+        assert snaps[0] == snaps[1]
+        assert snaps[1]["storage.pack_rows.bank1"]["value"] == 3
+        assert np.array_equal(tensors[0], tensors[1])
+
+
+class TestRowScatter:
+    def test_set_rows_at_keeps_the_ecc_sidecar_coherent(self):
+        from repro.core.integrity import encode_secded
+
+        rng = np.random.default_rng(9)
+        store = BitPlaneStore(rows=6, cols=100)
+        for _ in range(3):
+            store.new_slot()
+        store.enable_ecc(encode_secded)
+        store.drain_encoded_rows()
+        words = pack_rows(rng.integers(0, 2, (4, 100)).astype(np.uint8))
+        slots, rows = np.array([2, 0, 2, 1]), np.array([5, 0, 1, 3])
+        store.set_rows_at(slots, rows, words)
+        assert np.array_equal(store.row_words(2, 5), words[0])
+        assert np.array_equal(store.row_words(1, 3), words[3])
+        assert np.array_equal(store.ecc_plane, encode_secded(store.tensor))
+        assert store.drain_encoded_rows() == 4
