@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.bitplane import BulkEngine
+from repro.core.bitplane import BulkEngine, sampling_free
 from repro.core.isa import RowAddress
 from repro.core.platform import PimAssembler
 from repro.core.storage import pack_rows
@@ -319,12 +319,7 @@ class PimKmerCounter:
         """
         checkpoint()  # per-round cancellation point (bulk hashmap path)
         ctrl = self.pim.controller
-        faults = ctrl.faults
-        if (
-            faults is not None
-            and faults.enabled
-            and (faults.compute2_rate > 0.0 or faults.copy_rate > 0.0)
-        ):
+        if not sampling_free(self.pim, "compute2", "copy"):
             # live scan/copy fault rates: the per-op RNG draw order is
             # part of the contract, so replay the exact scalar path
             self._replay_scalar(packed)

@@ -27,10 +27,10 @@ stream and stay bit-reproducible.
 Batched-sampling equivalence rule
 =================================
 
-The bulk execution engine samples faults for whole row blocks at once
-instead of once per operation.  For a fixed seed this is **stream
-equivalent** to the scalar per-op sequence because NumPy's
-``Generator.random`` fills its output from the underlying bit
+One ``decide`` call may cover many ops (the controller's compare scan
+draws one decision per scanned row in a single call).  For a fixed
+seed this is **stream equivalent** to the per-op sequence because
+NumPy's ``Generator.random`` fills its output from the underlying bit
 generator one double at a time, in C (row-major) order.  Hence:
 
 * ``decide(a + b, rate)`` consumes exactly the uniforms of
@@ -38,14 +38,14 @@ generator one double at a time, in C (row-major) order.  Hence:
 * ``decide((n, w), rate)`` consumes exactly the uniforms of ``n``
   consecutive ``decide(w, rate)`` calls, row by row.
 
-A batched draw therefore reproduces the scalar per-op sampling
-sequence **iff** (1) the batch covers ops in the same order the scalar
-path would issue them, (2) each op contributes its elements in the
-same (row-major) order, and (3) the batch draws only for ops that
-would have drawn scalar-wise (the scalar path skips the RNG entirely
-when a mechanism's rate is zero — a batch must never sample on behalf
-of a zero-rate op).  :meth:`FaultModel.corrupt_block` applies the rule
-for same-mechanism row batches; the property tests in
+A batched draw therefore reproduces the per-op sampling sequence
+**iff** (1) the batch covers ops in the same order they would issue,
+(2) each op contributes its elements in the same (row-major) order,
+and (3) the batch draws only for ops that would have drawn one by one
+(a zero-rate mechanism skips the RNG entirely, so a batch must never
+sample on behalf of a zero-rate op).  The bulk execution engine draws
+nothing itself: with live rates it replays the scalar path (see
+:func:`repro.core.bitplane.sampling_free`).  The property tests in
 ``tests/core/test_faults.py`` pin the equivalence down.
 """
 
@@ -202,27 +202,6 @@ class FaultModel:
         model._rng.bit_generator.state = state["rng_state"]
         model._injected = int(state["injected"])
         return model
-
-    def corrupt_block(
-        self, block: np.ndarray, mechanism: str, scale: float = 1.0
-    ) -> np.ndarray:
-        """Batched :meth:`corrupt` over a ``(rows, cols)`` block.
-
-        One ``(rows, cols)`` draw replaces ``rows`` consecutive per-row
-        draws; by the stream-equivalence rule (module docstring) the
-        result is bit-identical to calling :meth:`corrupt` on each row
-        in order with the same seed.  Returns the input object itself
-        when the mechanism's rate is zero or no bit fired (mirroring
-        the scalar path's identity-return contract).
-        """
-        rate = self.rate_for(mechanism) * scale
-        if rate <= 0.0:
-            return block
-        flips = self.decide(block.shape, rate)
-        if not flips.any():
-            return block
-        self._injected += int(flips.sum())
-        return (block ^ flips.astype(block.dtype)).astype(np.uint8)
 
 
 @dataclass(frozen=True)

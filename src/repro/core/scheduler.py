@@ -1,136 +1,44 @@
-"""Trace-driven command scheduling and timing validation.
+"""Gang scheduling of AAP command streams: the one model of parallel issue.
 
-The ledger charges each command's latency as if the machine were a
-single queue; real DRAM overlaps commands to *different* sub-arrays and
-banks.  :class:`TraceScheduler` replays a
-:class:`~repro.core.trace.CommandTrace` against a resource model —
-every sub-array is busy for its command's duration, every MAT's GRB
-serialises host reads/writes, DPU ops ride their MAT — and reports the
-*scheduled makespan*: the wall-clock a controller exploiting all
-sub-array parallelism would need.
+The scalar controller charges each command's latency as if the machine
+were a single queue; real DRAM overlaps commands to *different*
+sub-arrays and banks.  :class:`BatchedAapScheduler` prices a batch of
+commands against a resource model — every sub-array serialises its own
+stream, every MAT's GRB serialises host reads/writes, DPU reduces run
+on their MAT's DPU — and reports the *makespan*: the busiest resource's
+serial time, i.e. the wall-clock of a controller that exploits all
+sub-array parallelism.
 
-Uses:
+The same model serves two callers:
 
-* **parallelism audit** — ``speedup = serial_time / makespan`` measures
-  how much sub-array-level parallelism an algorithm's command stream
-  actually exposes (the hash-partitioned hashmap should be near the
-  number of partitions; a single-sub-array reduction near 1);
-* **timing validation** — the makespan can never exceed the serial sum
-  and never undercut the busiest resource (critical path); both bounds
-  are asserted by the tests.
+* **the bulk engine** (:mod:`repro.core.bitplane`) queues each round's
+  command counts and books the gang makespan on the ledger at
+  :meth:`BatchedAapScheduler.flush`;
+* **recorded traces** — :func:`charge_stream` queues every entry of a
+  :class:`~repro.core.trace.CommandTrace` and returns the serial time,
+  the makespan and ``coalescing_speedup = serial / makespan``, the
+  sub-array parallelism an algorithm's command stream exposes (the
+  hash-partitioned hashmap is near its partition count; a
+  single-sub-array reduction is 1).
+
+The makespan never exceeds the serial sum, and ``serial / makespan``
+never exceeds the number of resources; ``tests/core/test_scheduler.py``
+pins both bounds.
+
+:func:`replay_optimized` re-issues an optimised trace document through
+a controller, honouring its gang annotations (the ``--aap-opt`` path).
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.timing import (
-    DEFAULT_TIMING,
-    TimingParameters,
-    command_cost_table,
-    command_latency_table,
-)
-from repro.core.trace import CommandTrace, TraceEntry
+from repro.core.timing import DEFAULT_TIMING, command_cost_table
 from repro.observability.metrics import inc, observe
-
-
-@dataclass(frozen=True)
-class ScheduleReport:
-    """Outcome of scheduling one trace."""
-
-    makespan_ns: float
-    serial_ns: float
-    per_subarray_busy_ns: dict[tuple[int, int, int], float]
-    commands: int
-
-    @property
-    def parallel_speedup(self) -> float:
-        """serial / makespan — the exposed sub-array parallelism."""
-        if self.makespan_ns <= 0:
-            return 1.0
-        return self.serial_ns / self.makespan_ns
-
-    @property
-    def critical_resource_ns(self) -> float:
-        return max(self.per_subarray_busy_ns.values(), default=0.0)
-
-    @property
-    def utilisation(self) -> float:
-        """Mean busy fraction of the touched sub-arrays."""
-        if not self.per_subarray_busy_ns or self.makespan_ns <= 0:
-            return 0.0
-        mean_busy = sum(self.per_subarray_busy_ns.values()) / len(
-            self.per_subarray_busy_ns
-        )
-        return mean_busy / self.makespan_ns
-
-
-@dataclass
-class TraceScheduler:
-    """Greedy list scheduler over per-sub-array and per-MAT resources.
-
-    Commands issue in trace order (the controller is in-order), but a
-    command only waits for *its own* resources: the target sub-array,
-    plus the MAT's GRB for host I/O (``MEM_RD``/``MEM_WR``).  This
-    mirrors how independent sub-arrays proceed concurrently under one
-    command stream with per-bank queues.
-    """
-
-    timing: TimingParameters = field(default_factory=lambda: DEFAULT_TIMING)
-
-    def command_latency_ns(self, entry: TraceEntry) -> float:
-        try:
-            return command_latency_table(self.timing)[entry.mnemonic]
-        except KeyError:
-            raise ValueError(
-                f"no latency model for mnemonic {entry.mnemonic!r}"
-            ) from None
-
-    def schedule(self, trace: CommandTrace) -> ScheduleReport:
-        """Compute the parallel makespan of a trace."""
-        subarray_free: dict[tuple[int, int, int], float] = {}
-        grb_free: dict[tuple[int, int], float] = {}
-        busy: dict[tuple[int, int, int], float] = {}
-        makespan = 0.0
-        serial = 0.0
-
-        for entry in trace:
-            latency = self.command_latency_ns(entry)
-            serial += latency
-            start = subarray_free.get(entry.subarray, 0.0)
-            if entry.mnemonic in ("MEM_RD", "MEM_WR"):
-                mat_key = entry.subarray[:2]
-                start = max(start, grb_free.get(mat_key, 0.0))
-            finish = start + latency
-            subarray_free[entry.subarray] = finish
-            if entry.mnemonic in ("MEM_RD", "MEM_WR"):
-                grb_free[entry.subarray[:2]] = finish
-            busy[entry.subarray] = busy.get(entry.subarray, 0.0) + latency
-            makespan = max(makespan, finish)
-
-        return ScheduleReport(
-            makespan_ns=makespan,
-            serial_ns=serial,
-            per_subarray_busy_ns=busy,
-            commands=len(trace),
-        )
-
-
-def audit_parallelism(
-    trace: CommandTrace, timing: TimingParameters | None = None
-) -> ScheduleReport:
-    """One-call scheduling of a recorded trace."""
-    scheduler = TraceScheduler(timing=timing or DEFAULT_TIMING)
-    return scheduler.schedule(trace)
-
-
-# --------------------------------------------------------------------------
-# Batched AAP scheduling (the bulk execution engine's timed view)
-# --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -157,9 +65,8 @@ class BatchedAapScheduler:
     (mnemonic, resource) pair and flushes them in one pass: commands
     against different sub-arrays share command slots (gang issue, the
     SIMD execution of Section III), so wall-clock time is the busiest
-    resource's serial time — the same resource model
-    :class:`TraceScheduler` replays trace-entry by trace-entry, but
-    computed in O(resources) instead of O(commands).
+    resource's serial time, computed in O(resources) rather than
+    O(commands).
 
     Resources:
 
@@ -325,21 +232,12 @@ class BatchedAapScheduler:
 
     # ----- op-fusion pass --------------------------------------------------
 
-    #: the per-row mnemonics of :meth:`fused_compare`, in charge order
+    #: the per-candidate-row mnemonics of a compare scan, in charge
+    #: order: the AAP copy and AAP XNOR on the sub-array and the AND
+    #: reduce on the MAT's DPU — a separate resource, so the reduce of
+    #: row ``i`` hides behind the activations of row ``i+1`` (fusion
+    #: rule 1)
     FUSED_COMPARE = ("AAP1", "AAP2", "DPU")
-
-    def fused_compare(
-        self, subarray_key: tuple[int, int, int], scanned: int
-    ) -> None:
-        """One fused XNOR→AND(-reduce) kernel over ``scanned`` rows.
-
-        Issues the scan's AAP copy + AAP compute per candidate row on
-        the sub-array and its AND/popcount reduce on the MAT's DPU —
-        the DPU leg lands on its own resource, so the reduction is
-        hidden behind the next row's activations (fusion rule 1).
-        """
-        for mnemonic in self.FUSED_COMPARE:
-            self.charge(mnemonic, subarray_key, scanned)
 
     def fused_add(
         self, subarray_key: tuple[int, int, int], bit_planes: int
@@ -424,8 +322,12 @@ def charge_stream(trace, timing=None, energy=None, log=None) -> BatchReport:
     the batch is flushed once — the returned :class:`BatchReport`
     carries the serial time and the gang-coalesced makespan the bulk
     engine's resource model assigns the stream.  Nothing is charged to
-    a real ledger; this is the reporting path ``optimize-trace`` and
-    the benchmarks use to quote coalesced wall-clock.
+    a real ledger; this is the one way to price a recorded trace
+    (``optimize-trace``, the benchmarks and the trace-analysis example
+    quote their serial time and makespan from it).
+
+    Raises:
+        ValueError: on a mnemonic without a cost model.
     """
     scheduler = BatchedAapScheduler(
         _NullLedger(), timing=timing, energy=energy, log=log

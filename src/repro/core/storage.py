@@ -10,11 +10,12 @@ instantiated sub-array, packed 64 columns per machine word::
     tensor[slot, row, word]            # np.uint64, word = column/64
 
 :class:`BitPlaneStore` owns that tensor.  Sub-arrays become lightweight
-view handles (a slot index plus a store reference); whole-bank kernels
-(:mod:`repro.core.bitplane`, the hashmap bulk path) index the tensor
-directly and compute XNOR/popcount/compare over packed words — XNOR is
-``~(a ^ b)`` on uint64, popcount is ``np.bitwise_count`` (16-bit lookup
-table fallback) — across all sub-arrays in one NumPy expression.
+view handles (a slot index plus a store reference); the whole-array
+paths (the hashmap bulk path and :mod:`repro.core.bitplane`) gather and
+scatter rows of every sub-array in one NumPy expression, and the
+controller's compare scan works on packed words — XNOR is ``~(a ^ b)``
+on uint64, popcount is ``np.bitwise_count`` (16-bit lookup table
+fallback).
 
 Pack boundary rule
 ==================
@@ -62,8 +63,6 @@ __all__ = [
     "WORD_BITS",
     "BitPlaneStore",
     "col_mask",
-    "compare_many_packed",
-    "hamming_many_packed",
     "pack_rows",
     "popcount_words",
     "unpack_rows",
@@ -72,11 +71,6 @@ __all__ = [
 
 #: columns per packed machine word
 WORD_BITS = 64
-
-#: byte budget for the ``(Q, n, w)`` broadcast intermediates of the
-#: many-query kernels; chunking over queries keeps paper-scale batches
-#: (tens of thousands of queries) inside a fixed working set
-DEFAULT_CHUNK_BYTES = 1 << 26
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -178,57 +172,6 @@ def popcount_words(words: np.ndarray, axis: int | None = -1) -> np.ndarray:
     if axis is None:
         return counts
     return counts.sum(axis=axis)
-
-
-def compare_many_packed(
-    q_words: np.ndarray,
-    block: np.ndarray,
-    mask: np.ndarray | None = None,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> np.ndarray:
-    """Boolean match matrix ``(Q, n)`` over packed words.
-
-    A query matches a block row when their masked words are identical.
-    The ``(q, n, w)`` XOR intermediate is evaluated in query chunks of
-    at most ``chunk_bytes`` so paper-scale batches never materialise a
-    multi-GB broadcast.
-    """
-    q = np.asarray(q_words, dtype=np.uint64)
-    b = np.asarray(block, dtype=np.uint64)
-    if mask is not None:
-        b = b & mask
-    n, w = b.shape
-    out = np.empty((q.shape[0], n), dtype=bool)
-    step = max(1, chunk_bytes // max(1, n * w * 8))
-    for lo in range(0, q.shape[0], step):
-        qc = q[lo : lo + step]
-        if mask is not None:
-            qc = qc & mask
-        diff = qc[:, None, :] ^ b[None, :, :]
-        out[lo : lo + step] = ~diff.any(axis=2)
-    return out
-
-
-def hamming_many_packed(
-    q_words: np.ndarray,
-    block: np.ndarray,
-    mask: np.ndarray | None = None,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> np.ndarray:
-    """Hamming distances ``(Q, n)`` over packed words, query-chunked."""
-    q = np.asarray(q_words, dtype=np.uint64)
-    b = np.asarray(block, dtype=np.uint64)
-    if mask is not None:
-        b = b & mask
-    n, w = b.shape
-    out = np.empty((q.shape[0], n), dtype=np.int64)
-    step = max(1, chunk_bytes // max(1, n * w * 8))
-    for lo in range(0, q.shape[0], step):
-        qc = q[lo : lo + step]
-        if mask is not None:
-            qc = qc & mask
-        out[lo : lo + step] = popcount_words(qc[:, None, :] ^ b[None, :, :])
-    return out
 
 
 class BitPlaneStore:
@@ -377,13 +320,6 @@ class BitPlaneStore:
             self._ecc[slot, row] = self._ecc_encoder(self._tensor[slot, row])
             self._ecc_rows_encoded += 1
 
-    def _reencode_rows(self, slot: int, start: int, stop: int) -> None:
-        if self._ecc is not None:
-            self._ecc[slot, start:stop] = self._ecc_encoder(
-                self._tensor[slot, start:stop]
-            )
-            self._ecc_rows_encoded += max(0, stop - start)
-
     # ----- packed word access (bulk kernels) ------------------------------
 
     def row_words(self, slot: int, row: int) -> np.ndarray:
@@ -394,19 +330,13 @@ class BitPlaneStore:
         """Live ``(stop-start, words)`` view of a row block."""
         return self._tensor[self._check_slot(slot), start:stop]
 
-    def set_row_words(self, slot: int, row: int, words: np.ndarray) -> None:
-        """Store one row of packed words (caller upholds the tail rule)."""
-        self._tensor[self._check_slot(slot), row] = words
-        self._reencode_row(slot, row)
-
     def set_rows_at(
         self, slots: np.ndarray, rows: np.ndarray, words: np.ndarray
     ) -> None:
         """Scatter packed rows to distinct ``(slot, row)`` positions.
 
-        The whole-array form of :meth:`set_row_words` (caller upholds
-        the tail rule): one fancy-index store plus one sidecar
-        re-encode of exactly the written rows.
+        The caller upholds the tail rule: one fancy-index store plus
+        one sidecar re-encode of exactly the written rows.
         """
         s = np.asarray(slots, dtype=np.intp)
         r = np.asarray(rows, dtype=np.intp)
@@ -450,15 +380,6 @@ class BitPlaneStore:
         self._count("pack", slot, 1)
         self._tensor[self._check_slot(slot), row] = pack_rows(bits)
         self._reencode_row(slot, row)
-
-    def write_rows(self, slot: int, start: int, bits: np.ndarray) -> None:
-        """Pack a ``(n, cols)`` unpacked block into rows ``start..``."""
-        arr = np.asarray(bits, dtype=np.uint8)
-        self._count("pack", slot, arr.shape[0])
-        self._tensor[
-            self._check_slot(slot), start : start + arr.shape[0]
-        ] = pack_rows(arr)
-        self._reencode_rows(slot, start, start + arr.shape[0])
 
     def write_rows_at(
         self, slots: np.ndarray, rows: np.ndarray, bits: np.ndarray

@@ -161,27 +161,39 @@ class CommandTrace:
                 mnemonic = cmd["op"]
                 subarray = tuple(int(x) for x in cmd["sub"])
                 rows = tuple(int(r) for r in cmd["rows"])
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise ValueError(
                     f"trace command #{i}: needs 'op', 'sub', 'rows'"
                 ) from None
             if not isinstance(mnemonic, str) or len(subarray) != 3:
                 raise ValueError(f"trace command #{i}: malformed op/sub")
             payload = cmd.get("payload")
+            if payload is not None and not (
+                isinstance(payload, list)
+                and all(isinstance(b, int) and 0 <= b <= 255 for b in payload)
+            ):
+                raise ValueError(
+                    f"trace command #{i}: payload must be a list of "
+                    "integers in 0..255"
+                )
             trace.record(
                 mnemonic,
                 subarray,  # type: ignore[arg-type]
                 rows,
                 np.asarray(payload, dtype=np.uint8) if payload is not None else None,
             )
-        for j, mark in enumerate(doc.get("marks", [])):
+        marks = doc.get("marks", [])
+        if not isinstance(marks, list):
+            raise ValueError("trace document: 'marks' must be a list")
+        for j, mark in enumerate(marks):
             try:
                 pos, label = mark
-            except (TypeError, ValueError):
+                pos = int(pos)
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"trace mark #{j}: expected [pos, label]") from None
             if not isinstance(label, str):
                 raise ValueError(f"trace mark #{j}: label must be a string")
-            trace._marks.append((int(pos), label))
+            trace._marks.append((pos, label))
         return trace
 
 
@@ -260,7 +272,7 @@ class ChargeLog:
                         int(fl["commands"]),
                     )
                 )
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ValueError("charge-log document: malformed entry") from None
         return log
 

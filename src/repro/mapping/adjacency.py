@@ -32,6 +32,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
+from repro.core.bitplane import BulkEngine, sampling_free
 from repro.core.isa import RowAddress
 from repro.errors import AllocationError
 from repro.runtime.watchdog import checkpoint
@@ -186,7 +187,7 @@ def _wallace_column_sum_bulk(
     back); runs with live sum/TRA fault rates use the scalar path so
     the RNG stream stays per-op exact.
     """
-    if _sum_faults_live(pim):
+    if not sampling_free(pim, "sum", "tra"):
         return wallace_column_sum(pim, rows, subarray_key, engine="scalar")
 
     width = pim.row_bits
@@ -202,23 +203,11 @@ def _wallace_column_sum_bulk(
     return np.stack(staged).astype(np.int64).sum(axis=0)
 
 
-def _sum_faults_live(pim: PimAssembler) -> bool:
-    """True when sum/TRA faults draw per op (bulk must replay scalar)."""
-    faults = pim.controller.faults
-    return (
-        faults is not None
-        and faults.enabled
-        and (faults.sum_rate > 0.0 or faults.tra_rate > 0.0)
-    )
-
-
 def _charge_wallace_bulk(
     pim: PimAssembler, n_rows: int, subarray_key: tuple[int, int, int]
 ) -> None:
     """Charge the scalar Wallace schedule of ``n_rows`` rows as one
     gang batch (one flush)."""
-    from repro.core.bitplane import BulkEngine
-
     checkpoint()  # per-reduction cancellation point (bulk path)
     compressions, bits_needed, zero_planes = _wallace_schedule(n_rows)
     engine = BulkEngine(pim)
@@ -372,7 +361,7 @@ def degree_vectors_pim(
     width = pim.row_bits
     plan = DegreePlan(graph, width)
     nodes = plan.nodes
-    planned = engine == "bulk" and not _sum_faults_live(pim)
+    planned = engine == "bulk" and sampling_free(pim, "sum", "tra")
     degrees = {d: np.zeros(len(nodes), dtype=np.int64) for d in ("in", "out")}
     for chunk in range(plan.chunks):
         lo = chunk * width

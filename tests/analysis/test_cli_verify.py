@@ -266,3 +266,74 @@ def test_aap_opt_requires_scalar_exec_engine(simulated, tmp_path):
         ]
     )
     assert rc == 2
+
+
+def _trace_document(**overrides):
+    doc = {
+        "format": "repro-aap-trace/1",
+        "engine": "scalar",
+        "geometry": {"rows": 64, "cols": 32, "compute_rows": 8, "data_rows": 56},
+        "commands": [{"op": "MEM_WR", "sub": [0, 0, 0], "rows": [0]}],
+        "marks": [],
+    }
+    doc.update(overrides)
+    return doc
+
+
+def _with_payload(payload):
+    return [{"op": "MEM_WR", "sub": [0, 0, 0], "rows": [0], "payload": payload}]
+
+
+MALFORMED_TRACES = {
+    "marks-not-a-list": _trace_document(marks=5),
+    "mark-position-null": _trace_document(marks=[[None, "x"]]),
+    "payload-out-of-byte-range": _trace_document(commands=_with_payload([300])),
+    "payload-not-a-list": _trace_document(commands=_with_payload({"a": 1})),
+    # json reads the bare token Infinity as a float, which int() rejects
+    # with OverflowError
+    "row-infinite": _trace_document(
+        commands=[{"op": "AAP1", "sub": [0, 0, 0], "rows": [0, float("inf")]}]
+    ),
+    "mark-position-infinite": _trace_document(marks=[[float("inf"), "x"]]),
+    "charge-count-infinite": _trace_document(
+        charges=[
+            {"op": "AAP1", "sub": [0, 0, 0], "count": float("inf"), "time_ns": 1.0}
+        ]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TRACES))
+def test_malformed_trace_is_a_typed_input_error(name, tmp_path, capsys):
+    from repro.analysis.tracefile import load_document
+    from repro.errors import TraceFormatError
+
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED_TRACES[name]))
+    with pytest.raises(TraceFormatError):
+        load_document(path)
+    for command in (
+        ["verify-trace", str(path)],
+        ["optimize-trace", str(path), "-o", str(tmp_path / "out.json")],
+    ):
+        capsys.readouterr()
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_well_formed_payload_and_marks_still_load(tmp_path):
+    from repro.analysis.tracefile import load_document
+
+    path = tmp_path / "ok.json"
+    path.write_text(
+        json.dumps(
+            _trace_document(
+                commands=_with_payload([0, 1, 255]), marks=[[0, "hashmap:begin"]]
+            )
+        )
+    )
+    doc = load_document(path)
+    assert doc.trace[0].payload == (0, 1, 255)
+    assert doc.trace.marks == [(0, "hashmap:begin")]

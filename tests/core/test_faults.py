@@ -111,28 +111,6 @@ class TestFaultModel:
         rows = np.vstack([model.decide(16, 0.25) for _ in range(5)])
         assert (block == rows).all()
 
-    def test_corrupt_block_equals_per_row_corrupt(self, rng):
-        """One (rows, cols) corruption draw is bit-identical to
-        corrupting each row in order (same seed, same flips)."""
-        block = rng.integers(0, 2, (8, 32)).astype(np.uint8)
-        batched_model = FaultModel(compute2_rate=0.15, seed=5)
-        batched = batched_model.corrupt_block(block, "compute2")
-        rowwise_model = FaultModel(compute2_rate=0.15, seed=5)
-        rowwise = np.vstack(
-            [rowwise_model.corrupt(row, "compute2") for row in block]
-        )
-        assert (batched == rowwise).all()
-        assert batched_model.injected_faults == rowwise_model.injected_faults
-
-    def test_corrupt_block_zero_rate_is_identity(self, rng):
-        """Zero-rate mechanisms must not draw: the stream stays aligned."""
-        block = rng.integers(0, 2, (4, 16)).astype(np.uint8)
-        model = FaultModel(compute2_rate=0.5, seed=2)
-        assert model.corrupt_block(block, "copy") is block
-        # the skipped draw left the stream untouched
-        ref = FaultModel(compute2_rate=0.5, seed=2)
-        assert (model.decide(64, 0.5) == ref.decide(64, 0.5)).all()
-
     def test_from_variation_matches_table1(self):
         """Rates derived from the Monte Carlo track Table I: clean at
         +/-5%, TRA markedly worse at +/-10%."""
