@@ -22,10 +22,11 @@ from measurement noise — this is exactly the artifact the previous
 best-of-N version produced, where a lucky late "disabled" sample
 reported a nonsensical −5 % overhead.
 
-The contract asserted with ``--check``: the *disabled* path must stay
-within ``max(MAX_DISABLED_OVERHEAD, noise_floor)`` of baseline.  The
-enabled-path cost is reported for the record but not gated — turning
-tracing on is allowed to cost something.
+The contract asserted with ``--check`` has two gates, both with the
+same noise rule: the *disabled* path must stay within
+``max(MAX_DISABLED_OVERHEAD, noise_floor)`` of baseline, and the
+*enabled* path within ``max(MAX_ENABLED_OVERHEAD, noise_floor)`` —
+observability is meant to be cheap enough to leave on.
 
 Usage::
 
@@ -42,6 +43,7 @@ import time
 from pathlib import Path
 
 MAX_DISABLED_OVERHEAD = 0.05  # fractional wall-clock slowdown allowed
+MAX_ENABLED_OVERHEAD = 0.10  # ... with a full session recording
 
 
 def _make_reads(quick: bool):
@@ -75,7 +77,8 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         action="store_true",
         help="fail if the disabled path exceeds "
-        f"max({MAX_DISABLED_OVERHEAD:.0%}, noise floor) overhead",
+        f"max({MAX_DISABLED_OVERHEAD:.0%}, noise floor) or the enabled "
+        f"path max({MAX_ENABLED_OVERHEAD:.0%}, noise floor) overhead",
     )
     parser.add_argument(
         "--repeats", type=int, default=5, help="interleaved repeats per variant"
@@ -126,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         else 0.0
     )
     gate = max(MAX_DISABLED_OVERHEAD, noise_floor)
+    enabled_gate = max(MAX_ENABLED_OVERHEAD, noise_floor)
 
     session = enabled()
     spans = len(session.tracer.spans())
@@ -136,8 +140,10 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": "observability_overhead",
         "mode": "quick" if args.quick else "full",
         "max_disabled_overhead": MAX_DISABLED_OVERHEAD,
+        "max_enabled_overhead": MAX_ENABLED_OVERHEAD,
         "noise_floor": noise_floor,
         "gate": gate,
+        "enabled_gate": enabled_gate,
         "params": {"reads": len(reads), "k": k, "repeats": args.repeats},
         "baseline": {
             "wall_s": medians["baseline"],
@@ -162,23 +168,29 @@ def main(argv: list[str] | None = None) -> int:
         overhead = entry.get("overhead")
         suffix = f" | overhead {overhead:+7.1%}" if overhead is not None else ""
         print(f"{name:>9}: {entry['wall_s'] * 1e3:8.1f} ms (median){suffix}")
-    print(f"noise floor (baseline spread): {noise_floor:.1%} -> gate {gate:.1%}")
+    print(
+        f"noise floor (baseline spread): {noise_floor:.1%} -> gates "
+        f"disabled {gate:.1%}, enabled {enabled_gate:.1%}"
+    )
 
     out = Path(args.output)
     out.write_text(json.dumps(results, indent=2) + "\n", encoding="ascii")
     print(f"wrote {out}")
 
     if args.check:
-        if disabled_overhead > gate:
+        failed = False
+        for name, overhead, limit in (
+            ("disabled", disabled_overhead, gate),
+            ("enabled", enabled_overhead, enabled_gate),
+        ):
+            ok = overhead <= limit
             print(
-                f"FAIL: disabled-path overhead {disabled_overhead:+.1%} "
-                f"exceeds gate {gate:.1%}"
+                f"{'OK' if ok else 'FAIL'}: {name}-path overhead "
+                f"{overhead:+.1%} {'within' if ok else 'exceeds'} gate "
+                f"{limit:.1%}"
             )
-            return 1
-        print(
-            f"OK: disabled-path overhead {disabled_overhead:+.1%} within "
-            f"gate {gate:.1%}"
-        )
+            failed = failed or not ok
+        return 1 if failed else 0
     return 0
 
 

@@ -80,7 +80,6 @@ from repro.core.stats import StatsLedger
 from repro.core.storage import popcount_words, width_mask
 from repro.core.timing import TimingParameters, DEFAULT_TIMING
 from repro.errors import UncorrectableFaultError
-from repro.observability.spans import span
 
 
 @dataclass
@@ -578,16 +577,6 @@ class Controller:
             The matching slot offset (0-based from ``start_row``), or
             ``None`` when no row matches.
         """
-        with span("pim.compare_scan", rows=n_rows):
-            return self._compare_scan_impl(temp, start_row, n_rows, valid_bits)
-
-    def _compare_scan_impl(
-        self,
-        temp: RowAddress,
-        start_row: int,
-        n_rows: int,
-        valid_bits: int | None,
-    ) -> int | None:
         if n_rows < 0:
             raise ValueError("n_rows must be non-negative")
         self.device.validate_address(temp)
@@ -766,18 +755,17 @@ class Controller:
         for addr in (*a_rows, *b_rows, *sum_rows, carry_row):
             if addr.subarray_key != key:
                 raise ValueError("ripple_add operands must share a sub-array")
-        with span("pim.ripple_add", bits=len(a_rows)):
-            # The carry zeroing is a real command (a RowClone off the
-            # constant row), not free controller bookkeeping: trace and
-            # charge it, and trace the latch reset, so a replayed
-            # stream reproduces the adder's starting state.  Both were
-            # silent device pokes before the trace verifier flagged the
-            # replay hole.
-            self.init_row(carry_row, 0)
-            self.clear_latch(carry_row.subarray_key)
-            for a_i, b_i, s_i in zip(a_rows, b_rows, sum_rows):
-                self.sum_cycle(a_i, b_i, s_i)
-                self.tra_carry(a_i, b_i, carry_row, carry_row)
+        # The carry zeroing is a real command (a RowClone off the
+        # constant row), not free controller bookkeeping: trace and
+        # charge it, and trace the latch reset, so a replayed stream
+        # reproduces the adder's starting state.  Both were silent
+        # device pokes before the trace verifier flagged the replay
+        # hole.
+        self.init_row(carry_row, 0)
+        self.clear_latch(carry_row.subarray_key)
+        for a_i, b_i, s_i in zip(a_rows, b_rows, sum_rows):
+            self.sum_cycle(a_i, b_i, s_i)
+            self.tra_carry(a_i, b_i, carry_row, carry_row)
 
     def compress_3to2(
         self,

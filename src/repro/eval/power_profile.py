@@ -96,14 +96,13 @@ def run_power_profile(
     coverage: float = 10.0,
     k: int = 15,
     seed: int = 47,
-    bin_ns: "float | None" = None,
 ) -> PowerProfile:
     """Assemble one synthetic workload under a session; profile it."""
     from repro.assembly.pipeline import _sized_device, assemble_with_pim
     from repro.observability.session import ObservabilitySession
 
     reads = _workload(length, coverage, seed)
-    session = ObservabilitySession(power_bin_ns=bin_ns)
+    session = ObservabilitySession()
     with session.activate():
         # build the device inside the session so its ledger connects
         pim = _sized_device(reads, k)

@@ -6,10 +6,11 @@ run on a single timeline:
 * :mod:`repro.observability.spans` — zero-dependency structured span
   tracer (context-manager API, monotonic *and* simulated-ns clocks,
   parent/child nesting, attributes), wired through the pipeline
-  stages, job retries, scheduler batches and controller dispatch;
+  stages, job retries and scheduler batches (stage/batch granularity;
+  per-command detail lives in ``--aap-trace-out`` documents);
 * :mod:`repro.observability.metrics` — counters/gauges/histograms fed
-  by the stats ledger through the narrow :class:`Recorder` protocol
-  and by instrumentation points through module-level helpers;
+  by instrumentation points through module-level helpers, with the
+  ``pim.*`` command counters copied from the power timeline on read;
 * :mod:`repro.observability.export` — Chrome/Perfetto trace-event
   JSON (one lane per pipeline stage plus resilience/watchdog lanes),
   ``metrics.json`` snapshots, sub-array utilization heatmaps, and the

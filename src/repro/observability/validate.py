@@ -60,7 +60,7 @@ def validate_exposition_file(path: "str | Path") -> list[str]:
     """Check a text exposition; returns a problem list (empty = valid)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return [f"cannot load {path}: {exc}"]
     problems: list[str] = []
     types: dict[str, str] = {}

@@ -368,7 +368,7 @@ class JobRunner:
             # commands/spans/events next to the journal
             session = active_session()
             if session is not None:
-                session.dump_flight(
+                session.flight.dump(
                     self.journal.root,
                     reason=f"{type(exc).__name__}: {exc}",
                 )

@@ -277,7 +277,7 @@ class ChaosReport:
 
         # 7. with observability on: every kill/timeout that actually
         #    disturbed a dispatched job left a flight-recorder dump
-        if self.session is not None and self.session.flight is not None:
+        if self.session is not None:
             for key, ticket in tickets.items():
                 if by_key[key].injection not in ("kill", "timeout"):
                     continue

@@ -156,6 +156,53 @@ class TestValidator:
         }
         assert any("E without open B" in p for p in validate_chrome_trace(doc))
 
+    @pytest.mark.parametrize(
+        ("name", "content", "rule_text"),
+        [
+            pytest.param("a.json", b"[1, 2]", "not a JSON object", id="list"),
+            pytest.param("a.json", b'"x"', "not a JSON object", id="string"),
+            pytest.param("a.json", b"NaN", "not a JSON object", id="nan"),
+            pytest.param(
+                "a.json", b"\xff\xfe{}", "cannot load", id="non-utf8-trace"
+            ),
+            pytest.param(
+                "a.prom",
+                b"# TYPE a counter\na 1\n\xff\n",
+                "cannot load",
+                id="non-utf8-prom",
+            ),
+            pytest.param(
+                "a.json",
+                json.dumps({"traceEvents": [
+                    {"ph": "B", "name": "a", "ts": 0, "pid": [1], "tid": 1},
+                ]}).encode(),
+                "invalid pid",
+                id="list-pid",
+            ),
+            pytest.param(
+                "a.json",
+                json.dumps({"traceEvents": [
+                    {"ph": ["B"], "name": "a", "ts": 0, "pid": 1, "tid": 1},
+                ]}).encode(),
+                "bad ph",
+                id="list-phase",
+            ),
+        ],
+    )
+    def test_malformed_input_is_a_finding_not_a_traceback(
+        self, tmp_path, capsys, name, content, rule_text
+    ):
+        from repro.analysis.findings import EXIT_FINDINGS
+        from repro.observability.validate import main
+
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main([str(path)]) == EXIT_FINDINGS
+        captured = capsys.readouterr()
+        assert f"{path}: INVALID" in captured.out
+        assert rule_text in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestMetricsWriter:
     def test_writes_snapshot_with_extras(self, tmp_path):
@@ -167,6 +214,15 @@ class TestMetricsWriter:
         doc = json.loads(path.read_text())
         assert doc["metrics"]["jobs"]["value"] == 2
         assert doc["subarray_heatmap"] == [{"bank": 0}]
+
+    def test_rewrite_is_atomic_and_leaves_no_temp_file(self, tmp_path):
+        reg = MetricsRegistry()
+        reg.counter("jobs").inc(1)
+        path = write_metrics(tmp_path / "m.json", reg)
+        reg.counter("jobs").inc(1)
+        write_metrics(path, reg)
+        assert json.loads(path.read_text())["metrics"]["jobs"]["value"] == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
 class TestHeatmap:

@@ -888,6 +888,29 @@ class TestTelemetryCli:
         job_root = manifest.parent / "batch.json.jobs"
         assert (job_root / "audit.jsonl").is_file()
 
+    def test_serve_alert_over_ledger_counters_fires(self, tmp_path, capsys):
+        # pim.* counters are copied from the session's power timeline;
+        # the copy must land before the per-round alert evaluation
+        reads = self.write_reads(tmp_path)
+        manifest = self.write_manifest(
+            tmp_path,
+            {
+                "alerts": ["pim.commands.total > 0"],
+                "jobs": [
+                    {"tenant": "acme", "name": "a", "reads": reads.name,
+                     "k": 11},
+                ],
+            },
+        )
+        telemetry = tmp_path / "svc.prom"
+        rc = main(
+            ["serve", str(manifest), "--telemetry-out", str(telemetry)]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "alert [warning]: pim.commands.total > 0" in out
+        assert "alerts_fired_total 1" in telemetry.read_text()
+
     def test_serve_rejects_bad_alert_rule(self, tmp_path, capsys):
         reads = self.write_reads(tmp_path)
         manifest = self.write_manifest(
