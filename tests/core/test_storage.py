@@ -250,6 +250,31 @@ class TestConversionCounters:
         assert snap["storage.bytes"]["value"] == store.nbytes
         assert snap["storage.slots"]["value"] == 1.0
 
+    def test_counts_follow_the_active_registry(self):
+        # the store caches its counters per registry: a second registry
+        # (a new session) must get its own counts, and a return to the
+        # first must keep adding to the first
+        from repro.observability.metrics import MetricsRegistry
+
+        first, second = MetricsRegistry(), MetricsRegistry()
+        store = BitPlaneStore(rows=4, cols=64)
+        slots = [store.new_slot("bank0"), store.new_slot("bank1")]
+        ones = np.ones(64, dtype=np.uint8)
+        for registry, writes in ((first, 2), (second, 1), (first, 1)):
+            with registry.activate():
+                for _ in range(writes):
+                    for slot in slots:
+                        store.write_row(slot, 0, ones)
+                store.read_row(slots[1], 0)
+        for registry, writes, reads in ((first, 3, 2), (second, 1, 1)):
+            snap = registry.snapshot()
+            assert snap["storage.pack_rows"]["value"] == 2 * writes
+            assert snap["storage.pack_rows.bank0"]["value"] == writes
+            assert snap["storage.pack_rows.bank1"]["value"] == writes
+            assert snap["storage.unpack_rows"]["value"] == reads
+            assert snap["storage.unpack_rows.bank1"]["value"] == reads
+            assert "storage.unpack_rows.bank0" not in snap
+
     def test_no_registry_means_no_counter_work(self, monkeypatch):
         """Without an active registry the tally is skipped entirely."""
         import repro.core.storage as storage
